@@ -527,8 +527,14 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
         if payload[i] != 0xFF:
             raise ValueError("bad JPEG marker stream")
         m = payload[i + 1]
+        if m == 0xFF:  # fill byte: any marker may be preceded by 0xFF runs
+            i += 1
+            continue
         if m == 0xD9:
             break
+        if m == 0x01 or 0xD0 <= m <= 0xD8:  # standalone: no length field
+            i += 2
+            continue
         (length,) = struct.unpack(">H", payload[i + 2 : i + 4])
         if i + 2 + length > n:
             raise ValueError("truncated JPEG segment")
@@ -587,6 +593,9 @@ def decode_jpeg(payload: bytes) -> np.ndarray:
             if m2 == 0x00:
                 cur.append(0xFF)
                 j += 2
+                continue
+            if m2 == 0xFF:  # fill byte before a marker
+                j += 1
                 continue
             if 0xD0 <= m2 <= 0xD7:
                 segments.append(bytes(cur))

@@ -1799,6 +1799,21 @@ _TOKENIZE_SCHEMA = pa.schema(
 )
 
 
+def _token_lists(offsets: np.ndarray, tks: np.ndarray) -> pa.ListArray:
+    """Per-doc ``list<int32>`` token lists from int64 doc offsets. The
+    output column is ``list<int32>`` (the sequences schema), whose int32
+    offsets bound ONE batch at 2^31 - 1 tokens; a batch past that raises
+    instead of overflowing."""
+    if offsets[-1] > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"doc_tokenize batch holds {int(offsets[-1])} tokens, over the "
+            "list<int32> bound of 2^31 - 1 tokens per batch"
+        )
+    return pa.ListArray.from_arrays(
+        pa.array(offsets.astype(np.int32)), pa.array(tks, type=pa.int32())
+    )
+
+
 def doc_tokenize(sf_dir: str, vocab_path: "str | None" = None) -> rd.Dataset:
     """Tokenize the documents table against the vocab DIMENSION parquet
     (``sources/dimensions.ensure_vocab_dim`` — the same file
@@ -1833,6 +1848,8 @@ def doc_tokenize(sf_dir: str, vocab_path: "str | None" = None) -> rd.Dataset:
     dimension vocab).  Per-batch work is O(max_word_len) vectorized
     passes, never a per-word Python loop; rows never shuffle; output
     order is input order.
+    One batch may emit at most 2^31 - 1 tokens (``list<int32>`` offsets;
+    ``_token_lists`` raises past it).
 
     Reference analog: segmentation with row backref (M6,
     banningredients.py:87-118) composed with the vocab dimension loader
@@ -1975,16 +1992,10 @@ def doc_tokenize(sf_dir: str, vocab_path: "str | None" = None) -> rd.Dataset:
         unk_doc = np.add.reduceat(unk, starts)
         offsets = np.zeros(t.num_rows + 1, dtype=np.int64)
         np.cumsum(per_doc, out=offsets[1:])
-        tokens = pa.ListArray.from_arrays(
-            pa.array(offsets, type=pa.int64()).cast(pa.int32())
-            if offsets[-1] <= np.iinfo(np.int32).max
-            else pa.array(offsets, type=pa.int64()),
-            pa.array(tks, type=pa.int32()),
-        )
         return pa.table(
             {
                 "doc_id": t.column("doc_id"),
-                "tokens": tokens.cast(pa.list_(pa.int32())),
+                "tokens": _token_lists(offsets, tks),
                 "n_tok": pa.array(per_doc, type=pa.int64()).cast(pa.int32()),
                 "n_unk": pa.array(unk_doc, type=pa.int64()),
                 "source": t.column("source"),

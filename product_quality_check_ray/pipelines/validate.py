@@ -9,23 +9,22 @@ Dataflow (SURVEY.md §3.1 "our engine's equivalent plan")::
            • per-(partition, source) partials: counts, n_tok histogram,
              t-digest + HLL sketch bytes     ← the ONLY data leaving the stage
       └ driver merge of tiny partials → per-partition lineage + verdicts
-    uniqueness phase: read doc_id column only → per-batch combiner →
-      groupby(doc_id) shuffle of (doc_id, n) pairs → dup set → broadcast →
-      filtered re-read materializes duplicate violation rows
+    uniqueness phase: doc_id-only reads → hash-range tree reduce
+      (state/dupfinder) → dup set → broadcast to one plain task per file
+      group → only the row groups holding duplicates are read in full
     drift phase: merged per-source histograms vs reference dimension (no rows)
 
 Scale notes (100 TB / 256 nodes):
 - The full-row pass never shuffles: token payloads stay inside their input
   partition; only O(batches × sources) partial rows (a few KB each) move.
-- The uniqueness shuffle ships ONLY (doc_id, n) pairs — never tokens
-  (SURVEY.md §7.4). Per-batch pre-aggregation is the combiner; Ray's hash
-  shuffle handles the skewed key volume because hot *sources* do not make hot
-  *doc_ids* (each doc_id is globally rare), and the final dup set is tiny.
-- Duplicate-row materialization re-reads with a doc_id predicate (row-group
-  statistics pushdown when the dup set is small; broadcast-set filter
-  otherwise) — the assumption is |duplicates| ≪ |corpus|, which holds for
-  training-data QA; if it ever doesn't, the dup set itself should become a
-  Dataset and the materialization a hash join on doc_id.
+- The uniqueness reduce ships ONLY (hash, count) pairs — never tokens
+  (SURVEY.md §7.4) — and hash ranges spread the key volume evenly whatever
+  the doc_id skew; the final dup set is tiny.
+- Duplicate-row materialization reads each fragment's doc_id column, then
+  only the row groups holding duplicate rows — token payloads of the rest
+  of the corpus are never read. This assumes |duplicates| ≪ |corpus|, which
+  holds for training-data QA; if it ever doesn't, the dup set itself should
+  become a Dataset and the materialization a hash join on doc_id.
 - Waves of input files bound the checkpoint granularity: lineage records are
   published per wave, so a killed job re-validates at most one wave.
 
@@ -86,6 +85,12 @@ def _table_digest(pid: str, t: pa.Table) -> str:
     h = hashlib.sha1(pid.encode())
     h.update(sink.getvalue().to_pybytes())
     return h.hexdigest()[:16]
+
+
+def _sink_write(d: str, prefix: str, pid: str, t: pa.Table) -> None:
+    """Content-addressed side-sink file ``<d>/<prefix>-<digest>.parquet``."""
+    os.makedirs(d, exist_ok=True)
+    pq.write_table(t, os.path.join(d, f"{prefix}-{_table_digest(pid, t)}.parquet"))
 
 
 def _phase_log(name: str, t0: float) -> None:
@@ -180,7 +185,7 @@ class RowCheckStage:
         n_viol = int((~ok).sum())
         if n_viol and self.write_violations:
             viol = annotated.filter(pa.array(~ok))
-            self._write_violations(pid, viol)
+            _sink_write(lin.violations_dir(self.out_dir, pid), "rc", pid, viol)
         if self.write_clean:
             # validated-corpus sink: passing rows, ORIGINAL columns only,
             # partition-local content-addressed parquet (same idempotent
@@ -188,11 +193,7 @@ class RowCheckStage:
             # never hide here; only doc_id uniqueness is a later global pass)
             clean = t.filter(pa.array(ok))
             if clean.num_rows:
-                d = os.path.join(self.out_dir, "clean", f"part={pid}")
-                os.makedirs(d, exist_ok=True)
-                pq.write_table(
-                    clean, os.path.join(d, f"ok-{_table_digest(pid, clean)}.parquet")
-                )
+                _sink_write(lin.clean_dir(self.out_dir, pid), "ok", pid, clean)
 
         src = annotated.column("source").to_pandas()
         src_filled = src.fillna("\x00null")
@@ -237,13 +238,6 @@ class RowCheckStage:
                 }
             )
         return rows_out
-
-    def _write_violations(self, pid: str, viol: pa.Table) -> None:
-        d = lin.violations_dir(self.out_dir, pid)
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(
-            viol, os.path.join(d, f"rc-{_table_digest(pid, viol)}.parquet")
-        )
 
 
 # per-worker-process stage cache for the task-based path: Ray reuses worker
@@ -778,43 +772,37 @@ def _assemble_report(
 # ---------------------------------------------------------------------------
 
 
-def plan_duplicate_doc_ids(files: list[str]) -> rd.Dataset:
-    """Build (lazily) the global doc_id duplicate-detection plan.
-
-    Projected read (doc_id only) → per-batch value_counts combiner →
-    groupby(doc_id) sum of (doc_id, n) pairs → dups = n > 1. The shuffle
-    never carries token payloads.
-
-    Planning happens on the caller's thread (Ray's read planning resolves
-    filesystems via lazy imports that are not thread-safe to race); only
-    execution may run concurrently with other pipelines.
-    """
-    ds = rd.read_parquet(files, columns=["doc_id"])
-
-    from ..core.batches import doc_id_partial_counts as partial_counts
-
-    agg = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("doc_id")
-        .sum("n")
-    )
-    return agg.map_batches(
-        lambda t: t.filter(pc.greater(t.column("sum(n)"), 1)),
-        batch_format="pyarrow",
-    )
-
-
-def execute_duplicate_doc_ids(dup: rd.Dataset) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for b in dup.iter_batches(batch_format="pyarrow"):
-        for d, n in zip(b.column("doc_id").to_pylist(), b.column("sum(n)").to_pylist()):
-            out[d] = int(n)
-    return out
-
-
-def find_duplicate_doc_ids(files: list[str]) -> dict[str, int]:
-    """Global doc_id duplicate detection; returns {doc_id: total_count}."""
-    return execute_duplicate_doc_ids(plan_duplicate_doc_ids(files))
+@ray.remote
+def _materialize_dup_group(paths: list[str], dup_ids: pa.Array, out_dir: str) -> int:
+    """Write one file group's duplicate-id rows, one ``dup-`` file per
+    fragment; returns the row count. Only the ``doc_id`` column and the row
+    groups holding matched rows are read."""
+    n_rows = 0
+    for path in paths:
+        hit = pc.is_in(dupfinder.read_doc_ids(path), value_set=dup_ids)
+        rows = np.flatnonzero(hit.to_numpy(zero_copy_only=False))
+        if rows.size == 0:
+            continue
+        pf = pq.ParquetFile(path)
+        sizes = [pf.metadata.row_group(i).num_rows for i in range(pf.num_row_groups)]
+        start = np.cumsum([0] + sizes)
+        rg = np.searchsorted(start, rows, side="right") - 1
+        kept = np.unique(rg)
+        # rows skipped before each kept row group in the read of kept groups
+        kept_sizes = start[kept + 1] - start[kept]
+        skipped = start[kept] - (np.cumsum(kept_sizes) - kept_sizes)
+        local = rows - skipped[np.searchsorted(kept, rg)]
+        # conform like the rc- sink, so violations/ holds ONE schema
+        t = conform_schema(pf.read_row_groups(kept.tolist()).take(pa.array(local)))
+        t = t.append_column("ok", pa.array(np.zeros(t.num_rows, dtype=bool)))
+        t = t.append_column(
+            "checks_failed",
+            pa.array([["dup_doc_id"]] * t.num_rows, type=pa.list_(pa.string())),
+        )
+        pid = lin.part_id_for(path)
+        _sink_write(lin.violations_dir(out_dir, pid), "dup", pid, t)
+        n_rows += t.num_rows
+    return n_rows
 
 
 def materialize_duplicates(
@@ -823,16 +811,15 @@ def materialize_duplicates(
     out_dir: str,
     *,
     write_violations: bool = True,
-    pushdown_limit: int = 0,
 ) -> int:
     """Materialize the original rows of duplicated doc_ids as violation rows.
 
-    The dup-id set is broadcast once via ``ray.put`` and filtered inside
-    ``map_batches`` (broadcast semi-join — never a row shuffle). A row-group
-    statistics pushdown (``pushdown_limit`` > 0) only pays off when doc_ids
-    are clustered/sorted within files so whole row groups can be skipped;
-    for uniformly distributed ids the scanner-side isin is measurably slower
-    than the broadcast filter, so it is off by default.
+    The dup-id set is broadcast once via ``ray.put`` to one plain task per
+    file group (``dupfinder.file_groups``, the uniqueness pass's grouping).
+    Each fragment's ``doc_id`` column alone decides which rows match; only
+    the row groups holding them are read in full, so the cost tracks the
+    duplicates, not the corpus. Each fragment writes ONE
+    ``dup-<digest>.parquet`` whose name and bytes depend only on its rows.
     Rows keep their input columns byte-identical (token-array invariant)
     modulo the same declared-schema cast the rc- sink applies
     (``conform_schema``) — so every file under ``violations/`` shares ONE
@@ -841,54 +828,17 @@ def materialize_duplicates(
     if not write_violations:
         # no rows to materialize — the exact counts are already known
         return int(sum(dups.values()))
-    dup_ids = sorted(dups)
-    use_pushdown = 0 < len(dup_ids) <= pushdown_limit
-    read_kwargs: dict[str, Any] = {"include_paths": True}
-    if use_pushdown:
-        read_kwargs["filter"] = pc.field("doc_id").isin(dup_ids)
-    ds = rd.read_parquet(files, **read_kwargs)
-    # the prepared Arrow value_set is broadcast once (ray.put); each task
-    # fetches it a single time in its closure scope — NOT rebuilt per batch
-    dup_ref = ray.put(pa.array(dup_ids, type=pa.string()))
-    _set_cache: dict[str, pa.Array] = {}
-
-    def mark(batch: pa.Table) -> pa.Table:
-        key = dup_ref.hex()
-        value_set = _set_cache.get(key)
-        if value_set is None:
-            _set_cache.clear()
-            value_set = _set_cache[key] = ray.get(dup_ref)
-        mask = pc.is_in(batch.column("doc_id"), value_set=value_set)
-        sel = batch.filter(pc.fill_null(mask, False))
-        if sel.num_rows == 0:
-            return pa.Table.from_pylist([], schema=pa.schema([("part_id", pa.string()), ("n", pa.int64())]))
-        out_rows = []
-        for path in pc.unique(sel.column("path")).to_pylist():
-            g = sel.filter(pc.equal(sel.column("path"), path))
-            pid = lin.part_id_for(path)
-            # conform like the rc- sink: without the cast, a corpus stored
-            # with (say) int64 n_tok would mix schemas inside violations/
-            # and make violations_dataset() unreadable
-            t = conform_schema(g.drop_columns(["path"]))
-            n = t.num_rows
-            t = t.append_column("ok", pa.array([False] * n))
-            t = t.append_column(
-                "checks_failed",
-                pa.array([["dup_doc_id"]] * n, type=pa.list_(pa.string())),
+    dup_ref = ray.put(pa.array(sorted(dups), type=pa.string()))
+    return int(
+        sum(
+            ray.get(
+                [
+                    _materialize_dup_group.remote(g, dup_ref, out_dir)
+                    for g in dupfinder.file_groups(files)
+                ]
             )
-            if write_violations:
-                d = lin.violations_dir(out_dir, pid)
-                os.makedirs(d, exist_ok=True)
-                pq.write_table(
-                    t, os.path.join(d, f"dup-{_table_digest(pid, t)}.parquet")
-                )
-            out_rows.append({"part_id": pid, "n": n})
-        return pa.Table.from_pylist(
-            out_rows, schema=pa.schema([("part_id", pa.string()), ("n", pa.int64())])
         )
-
-    marked = ds.map_batches(mark, batch_format="pyarrow").take_all()
-    return int(sum(r["n"] for r in marked))
+    )
 
 
 def violations_dataset(out_dir: str) -> "rd.Dataset | None":

@@ -13,10 +13,10 @@ efficiently, here):
 2. **reduce** (one task per range): concatenate that range's (hash, count)
    partials from every fragment, sort, segment-sum; hashes with total ≥ 2 are
    duplicate *candidates*.
-3. **recover** (one task per fragment): re-read ``doc_id``, keep rows whose
-   hash is a candidate, return exact string counts; the driver sums and keeps
-   strings with true count ≥ 2 — 64-bit collisions are filtered here, so the
-   result is EXACT.
+3. **recover** (one task per file group, the map's grouping): re-read
+   ``doc_id``, keep rows whose hash is a candidate, return exact string
+   counts; the driver sums and keeps strings with true count ≥ 2 — 64-bit
+   collisions are filtered here, so the result is EXACT.
 
 Scale notes (10^12 rows, 256 nodes): the reduce moves 8 bytes/row of hash +
 8 of count — ~2% of a token-corpus's bytes — and hash ranges give perfectly
@@ -47,6 +47,42 @@ from ..core.hashing import hash_strings, range_edges as _range_edges
 HASH_SEED = 7
 
 
+def _default_ranges(ranges: "int | None") -> int:
+    """Hash-range count: the caller's, else the cluster's CPU count (≥ 8);
+    never below 2 (``range_edges`` needs two ranges)."""
+    if ranges is None:
+        try:
+            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
+        except Exception:
+            ranges = 8
+    return max(2, ranges)
+
+
+def file_groups(files: list[str], ranges: "int | None" = None) -> list[list[str]]:
+    """Contiguous groups of fragments, one task each: about two groups per
+    hash range, and fewer than 128 groups at any file count (group size
+    ≥ files // 64) — so the map's ObjectRef count stays O(groups × ranges)
+    and per-task overhead is paid per group, not per file. Shared by every
+    per-fragment pass over a duplicate set."""
+    ranges = _default_ranges(ranges)
+    group = max(1, len(files) // (ranges * 2), len(files) // 64)
+    return [files[i : i + group] for i in range(0, len(files), group)]
+
+
+def read_doc_ids(path: str) -> pa.Array:
+    """One fragment's ``doc_id`` column as a single ``string`` array (nulls
+    kept). ``ParquetFile.read`` skips the dataset layer ``pq.read_table``
+    goes through; the cast makes ``large_string`` fragments concatenate
+    and compare with ``string`` ones."""
+    col = pq.ParquetFile(path).read(columns=["doc_id"]).column("doc_id")
+    return col.combine_chunks().cast(pa.string())
+
+
+def _group_ids(paths: list[str]) -> pa.Array:
+    """Non-null doc_ids of a file group, concatenated."""
+    return pa.concat_arrays([read_doc_ids(p) for p in paths]).drop_null()
+
+
 @ray.remote
 def _map_fragment(paths: list[str], ranges: int) -> tuple:
     """Returns `ranges` objects (one (hashes, counts) pair per hash range) so
@@ -54,8 +90,7 @@ def _map_fragment(paths: list[str], ranges: int) -> tuple:
     materializes them (invoked with ``num_returns=ranges``). Takes a small
     GROUP of fragments per task to bound the total ObjectRef count at
     O(files/group × ranges)."""
-    t = pa.concat_tables(pq.read_table(p, columns=["doc_id"]) for p in paths)
-    col = t.column("doc_id").drop_null().combine_chunks()
+    col = _group_ids(paths)
     if len(col) == 0:
         empty = np.empty(0, dtype=np.uint64)
         return tuple((empty, empty.astype(np.int64)) for _ in range(ranges))
@@ -124,9 +159,10 @@ def _reduce_range(*parts, max_count: "int | None" = None) -> np.ndarray:
 
 
 @ray.remote
-def _recover_fragment(path: str, dup_hashes_sorted: np.ndarray) -> dict[str, int]:
-    t = pq.read_table(path, columns=["doc_id"])
-    col = t.column("doc_id").drop_null().combine_chunks()
+def _recover_group(paths: list[str], dup_hashes_sorted: np.ndarray) -> dict[str, int]:
+    """Exact string counts, within one file group, of the doc_ids whose
+    hash is a duplicate candidate."""
+    col = _group_ids(paths)
     if len(col) == 0 or dup_hashes_sorted.size == 0:
         return {}
     h = hash_strings(col, seed=HASH_SEED)
@@ -207,8 +243,7 @@ def ranges_pairwise_disjoint(ranges: list) -> bool:
 def _local_duplicates(paths: list[str]) -> dict[str, int]:
     """Within-task exact duplicate counts (used when fragment id ranges are
     globally disjoint, so a duplicate can only live inside one fragment)."""
-    t = pa.concat_tables(pq.read_table(p, columns=["doc_id"]) for p in paths)
-    col = t.column("doc_id").drop_null().combine_chunks()
+    col = _group_ids(paths)
     if len(col) == 0:
         return {}
     vc = pc.value_counts(col)
@@ -238,31 +273,19 @@ def find_duplicates(
     if not files:
         return {}
     if range_pruning and ranges_pairwise_disjoint(fragment_id_ranges(files)):
-        group = max(1, len(files) // 64)
         totals: dict[str, int] = {}
-        for d in ray.get(
-            [
-                _local_duplicates.remote(files[i : i + group])
-                for i in range(0, len(files), group)
-            ]
-        ):
+        groups = file_groups(files, ranges)
+        for d in ray.get([_local_duplicates.remote(g) for g in groups]):
             totals.update(d)  # disjoint ranges → disjoint key sets per task
         return totals
-    if ranges is None:
-        try:
-            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            ranges = 8
-    ranges = max(2, ranges)
+    ranges = _default_ranges(ranges)
     # num_returns=ranges: each map task emits one ObjectRef per hash range;
     # the refs (not the data) are routed to the reduce tasks as positional
     # args, so Ray dereferences them worker-side — partials never touch the
     # driver (the 10^12-scale contract in the module docstring)
-    group = max(1, len(files) // (ranges * 2) or 1, len(files) // 64)
-    file_groups = [files[i : i + group] for i in range(0, len(files), group)]
+    groups = file_groups(files, ranges)
     mapped_refs = [
-        _map_fragment.options(num_returns=ranges).remote(g, ranges)
-        for g in file_groups
+        _map_fragment.options(num_returns=ranges).remote(g, ranges) for g in groups
     ]
     # two-level reduce (opt-in via wave_size): fragment-wave partials →
     # range partials, bounding per-task ObjectRef counts at very high
@@ -277,7 +300,7 @@ def find_duplicates(
         return {}
     dup_ref = ray.put(dup_hashes)  # broadcast once, read by every recover task
     totals: dict[str, int] = {}
-    for d in ray.get([_recover_fragment.remote(f, dup_ref) for f in files]):
+    for d in ray.get([_recover_group.remote(g, dup_ref) for g in groups]):
         for k, v in d.items():
             totals[k] = totals.get(k, 0) + v
     return {k: v for k, v in totals.items() if v > 1}
@@ -344,12 +367,7 @@ def dup_group_id_refs(
     """
     from .pairreduce import _map_blocks
 
-    if ranges is None:
-        try:
-            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            ranges = 8
-    ranges = max(2, ranges)
+    ranges = _default_ranges(ranges)
     bundles = list(ds.iter_internal_ref_bundles())
     block_refs = [ref for b in bundles for ref in b.block_refs]
     if not block_refs:
@@ -412,12 +430,7 @@ def find_dup_hash_values(
     (uint64, int64) numpy pairs worker→worker. Callers must verify
     candidates exactly (64-bit collision contract, as ``find_duplicates``).
     """
-    if ranges is None:
-        try:
-            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            ranges = 8
-    ranges = max(2, ranges)
+    ranges = _default_ranges(ranges)
     bundles = list(ds.iter_internal_ref_bundles())
     block_refs = [ref for b in bundles for ref in b.block_refs]
     if not block_refs:

@@ -185,3 +185,20 @@ def test_docs_to_training_corpus_composition(ray_session, tmp_path):
     # non-trivial survivor set and reference only corpus doc_ids
     assert len(plan) > 100
     assert set(np.unique(plan["doc_id"])) <= set(ids)
+
+
+def test_token_lists_per_batch_bound():
+    """One batch's token lists are ``list<int32>``: offsets within 2^31 - 1
+    build them; a synthetic offsets array past the bound raises ValueError
+    (no overflowed or wrapped offsets)."""
+    import pytest
+
+    from product_quality_check_ray.pipelines.textprep import _token_lists
+
+    tks = np.array([5, 6, 7], dtype=np.int64)
+    got = _token_lists(np.array([0, 2, 2, 3], dtype=np.int64), tks)
+    assert got.type == pa.list_(pa.int32())
+    assert got.to_pylist() == [[5, 6], [], [7]]
+    big = np.array([0, 3, 2**31], dtype=np.int64)
+    with pytest.raises(ValueError, match="2\\^31 - 1"):
+        _token_lists(big, tks)

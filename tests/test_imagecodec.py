@@ -247,3 +247,30 @@ def test_jpeg_quality_100_extreme_pixels():
         out = decode_jpeg(encode_jpeg(px, quality=100, subsample=sub))
         assert out.shape == px.shape
         assert np.abs(out.astype(int) - px.astype(int)).mean() < 8.0
+
+
+def test_jpeg_fill_bytes_and_standalone_markers():
+    """T.81 B.1.1.2: any marker may be preceded by a run of 0xFF fill bytes,
+    and standalone markers (TEM, RSTn outside a scan) carry no length. An
+    own-encoded stream padded that way decodes to the same pixels."""
+    import struct
+
+    import numpy as np
+
+    from product_quality_check_ray.core.imagecodec import decode_jpeg, encode_jpeg
+
+    px = (np.arange(16 * 24 * 3).reshape(16, 24, 3) % 199).astype(np.uint8)
+    for sub in (1, 2):
+        j = encode_jpeg(px, 90, sub)
+        assert j[-2:] == b"\xff\xd9"
+        out = bytearray(j[:2])
+        i = 2
+        while True:  # header segments up to and including SOS
+            m = j[i + 1]
+            (length,) = struct.unpack(">H", j[i + 2 : i + 4])
+            out += b"\xff\xff\xff" + b"\xff\x01" + b"\xff" + j[i : i + 2 + length]
+            i += 2 + length
+            if m == 0xDA:
+                break
+        out += j[i:-2] + b"\xff\xff" + j[-2:]  # entropy data, padded EOI
+        assert decode_jpeg(bytes(out)).tobytes() == decode_jpeg(j).tobytes()

@@ -161,17 +161,21 @@ def test_knn_lsh_high_recall_on_clusters(fixture_dir):
 
 
 def test_dupfinder_matches_dataset_groupby(ray_session, tmp_path):
+    import ray.data as rd
+
     from product_quality_check_ray.datagen import write_sequences
-    from product_quality_check_ray.pipelines.validate import (
-        find_duplicate_doc_ids,
-        input_fragments,
-    )
+    from product_quality_check_ray.pipelines.validate import input_fragments
     from product_quality_check_ray.state import dupfinder
 
     seq = write_sequences(str(tmp_path / "seq"), 4000, seed=11, num_fragments=4)
     files = input_fragments(seq)
     via_tree = dupfinder.find_duplicates(files)
-    via_ds = find_duplicate_doc_ids(files)
+    counts = rd.read_parquet(files, columns=["doc_id"]).groupby("doc_id").count()
+    via_ds = {
+        r["doc_id"]: r["count()"]
+        for r in counts.take_all()
+        if r["doc_id"] is not None and r["count()"] > 1
+    }
     assert via_tree == via_ds
     assert len(via_tree) > 0
 
