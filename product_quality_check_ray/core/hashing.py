@@ -52,9 +52,11 @@ def hash_ints(x: np.ndarray, seed: int = 0) -> np.ndarray:
 
 
 def range_edges(ranges: int) -> np.ndarray:
-    """Split points of the uint64 hash space into ``ranges`` uniform ranges
-    (the hash-range tree-reduce partitioner shared by ``state/dupfinder``,
-    ``state/pairreduce`` and ``pipelines/substring``)."""
+    """Split points of the uint64 hash space into ``ranges`` uniform ranges:
+    the partitioner of ``core/exchange.split`` (dupfinder, pairreduce, the
+    corpus-diff and incremental-dedup reducers) and of the exchanges not
+    yet ported to it (``core/joins``, ``state/components``,
+    ``pipelines/substring``, ``pipelines/tokspans``)."""
     # ranges is clamped >= 2 by callers: ranges=1 would evaluate
     # np.uint64(2**64) (OverflowError) and break num_returns plumbing
     assert ranges >= 2

@@ -78,6 +78,33 @@ def probe_keys(keys_ds: rd.Dataset, col: str, cap: int) -> pa.Array | None:
     return pc.unique(head.column(col).combine_chunks())
 
 
+def _family(typ: "pa.DataType | None") -> "str | None":
+    """The key family the exchange paths hash by: integer or string."""
+    if typ is None:
+        return None
+    if pa.types.is_integer(typ):
+        return "integer"
+    if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        return "string"
+    return None
+
+
+def _check_key_types(
+    ds: rd.Dataset, col: str, other: rd.Dataset, other_col: str
+) -> None:
+    """Raise TypeError when the two join keys belong to different families:
+    every path would otherwise match nothing and return silently empty."""
+    types = []
+    for d, c in ((ds, col), (other, other_col)):
+        schema = d.schema()
+        types.append(dict(zip(schema.names, schema.types)).get(c) if schema else None)
+    a, b = types
+    if _family(a) and _family(b) and _family(a) != _family(b):
+        raise TypeError(
+            f"join key types disagree: {col!r} is {a}, {other_col!r} is {b}"
+        )
+
+
 def semi_join(
     ds: rd.Dataset,
     key_col: str,
@@ -94,6 +121,7 @@ def semi_join(
     match (semi drops them, anti keeps them) — is_in/fill_null semantics on
     the broadcast path, mirrored by the null-filter on the join path.
     """
+    _check_key_types(ds, key_col, keys_ds, keys_col)
     cap = BROADCAST_KEY_CAP if cap is None else cap
     keys = probe_keys(keys_ds, keys_col, cap)
     if keys is not None:
@@ -241,6 +269,7 @@ def lookup_join(
     crashed on zero-column empty partitions, ADVICE r4) is gone.
     Output columns: ``ds``'s columns ⊕ ``value_cols``.
     """
+    _check_key_types(ds, key_col, dim_ds, dim_key)
     cap = BROADCAST_KEY_CAP if cap is None else cap
     dim_head = _collect(dim_ds.select_columns([dim_key, *value_cols]).limit(cap + 1))
     out_cols = list(ds.schema().names) + list(value_cols)
@@ -250,6 +279,14 @@ def lookup_join(
             dim = _cache.get("dim")
             if dim is None:
                 dim = _cache["dim"] = dim_getter()
+            ktype = t.schema.field(key_col).type
+            if dim.schema.field(dim_key).type != ktype:
+                # same family, other width (int32 vs int64): the Arrow join
+                # needs identical key types
+                i = dim.schema.get_field_index(dim_key)
+                dim = _cache["dim"] = dim.set_column(
+                    i, dim_key, dim.column(i).cast(ktype)
+                )
             j = t.join(
                 dim, keys=[key_col], right_keys=[dim_key], join_type="inner"
             )

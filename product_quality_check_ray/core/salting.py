@@ -85,19 +85,3 @@ def hash_bucket_stage(col: str, n_buckets: int):
 
     return add_bucket
 
-
-def cluster_range_count(cap: int, floor: int = 8) -> int:
-    """Reduce-range fan-out for the raw-task split/reduce pattern: one range
-    per cluster CPU (bounded by ``cap`` key values, at least 2). Shared by
-    the pack/length-batch/capstone reducers so the heuristic lives once."""
-    import ray
-
-    try:
-        ranges = max(floor, int(ray.cluster_resources().get("CPU", floor)))
-    except Exception:
-        ranges = floor
-    # never below 2: `num_returns=1` makes Ray hand back a BARE ObjectRef
-    # instead of a list, and every caller indexes `mapped[r]` — a cap of 1
-    # (n_shards=1) just leaves the second range empty, which the split and
-    # reduce tasks already handle
-    return int(max(2, min(max(2, ranges), cap)))

@@ -491,48 +491,40 @@ SKETCH_HLL_BOUND = 0.05   # |HLL est − exact| ≤ 5% of exact (≈3σ at p=12)
 SKETCH_TD_RANK_EPS = 0.05  # t-digest quantile within a ±5% rank window
 
 
+@ray.remote
+def _distinct_range(*parts):
+    """(source hashes, distinct-key counts) of one hash range's (k, s)
+    partials."""
+    ks = [p[0] for p in parts if len(p[0])]
+    if not ks:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    k = np.concatenate(ks)
+    s = np.concatenate([p[1] for p in parts if len(p[0])])
+    u = np.unique(np.stack([k, s], axis=1), axis=0)
+    sv, sc = np.unique(u[:, 1], return_counts=True)
+    return sv, sc.astype(np.int64)
+
+
 def _distinct_by_source(ds: rd.Dataset) -> dict[int, int]:
     """Exact distinct-key count per source over a (k:int64, s:int64)
-    dataset, via the hash-range reduce (``state/pairreduce`` map): each
-    range holds disjoint key hashes, unique (k, s) pairs are counted per
-    range and summed — the driver sees O(ranges × sources) integers, never
-    the keys. Returns {source_hash: distinct_count}. Exact up to 64-bit
-    doc_id-hash collisions (~n²/2⁶⁴ — feeds a 5%-slack bound, never an
-    equality check)."""
-    import ray
+    dataset, via the hash-range exchange (``state/pairreduce`` keyed map):
+    each range holds disjoint key hashes, unique (k, s) pairs are counted
+    per range and summed — the driver sees O(ranges × sources) integers,
+    never the keys. Returns {source_hash: distinct_count}. Exact up to
+    64-bit doc_id-hash collisions (~n²/2⁶⁴ — feeds a 5%-slack bound, never
+    an equality check)."""
+    from ..core import exchange
+    from ..state.pairreduce import map_keys
 
-    from ..state.pairreduce import _map_blocks
-
-    try:
-        ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        ranges = 8
-    ranges = max(2, ranges)
-    bundles = list(ds.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    if not block_refs:
+    groups = exchange.block_groups(ds)
+    if not groups:
         return {}
-    mapped = [
-        _map_blocks.options(num_returns=ranges).remote(
-            block_refs[i : i + 8], "k", "s", ranges, None
-        )
-        for i in range(0, len(block_refs), 8)
-    ]
-
-    @ray.remote
-    def _distinct_range(*parts):
-        ks = [p[0] for p in parts if len(p[0])]
-        if not ks:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        k = np.concatenate(ks)
-        s = np.concatenate([p[1] for p in parts if len(p[0])])
-        u = np.unique(np.stack([k, s], axis=1), axis=0)
-        sv, sc = np.unique(u[:, 1], return_counts=True)
-        return sv, sc.astype(np.int64)
-
     out: dict[int, int] = {}
     for sv, sc in ray.get(
-        [_distinct_range.remote(*[m[r] for m in mapped]) for r in range(ranges)]
+        exchange.run(
+            map_keys, groups, _distinct_range, exchange.range_count(),
+            map_args=("k", "s", None),
+        )
     ):
         for s, c in zip(sv.tolist(), sc.tolist()):
             out[s] = out.get(s, 0) + c

@@ -48,6 +48,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..core.exchange import range_count
 from ..core.hashing import hash_ints, hash_strings, range_edges as _hop_edges
 from .text import _docs, _split_words
 
@@ -396,12 +397,7 @@ def _anchor_partials(
     extraction over the corpus, gram-hash-range map tasks, and the hop-1
     exact-gram anchor reduce. Returns (docs_dataset, resolved_ranges,
     anchor_refs) — anchor_refs is None for an empty corpus."""
-    if ranges is None:
-        try:
-            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            ranges = 8
-    ranges = max(2, ranges)
+    ranges = range_count(ranges)
     docs = _docs(sf_dir, columns=["doc_id", "text"])
     grams = docs.map_batches(lambda t: gram_positions(t, L), batch_format="pyarrow")
     bundles = list(grams.iter_internal_ref_bundles())

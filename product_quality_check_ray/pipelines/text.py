@@ -35,6 +35,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Min
 
 from ..core.collect import collect_table as _collect
+from ..core.exchange import range_count
 from ..core.rounding import round_half_away as _rha
 
 WS_TOKEN_RE = r"\S+"
@@ -2348,10 +2349,7 @@ def doc_boilerplate_strip(
     # one row per doc (rows are whole docs; the reducer's sum would also
     # tolerate splits)
     tot = docs.map_batches(totals, batch_format="pyarrow").materialize()
-    try:
-        ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:  # pragma: no cover - no cluster
-        ranges = 8
+    ranges = range_count()
     kept_refs = [r for b in kept.iter_internal_ref_bundles() for r in b.block_refs]
     tot_refs = [r for b in tot.iter_internal_ref_bundles() for r in b.block_refs]
     tot_schema = pa.schema(
@@ -2372,9 +2370,6 @@ def doc_boilerplate_strip(
         )
         for i in range(0, len(kept_refs), 8)
     ]
-    if ranges == 1:  # num_returns=1 hands back a bare ObjectRef
-        maps_t = [[m] for m in maps_t]
-        maps_k = [[m] for m in maps_k]
     out_refs = [
         _bp_reduce_range.remote(
             len(maps_t), *[m[r] for m in maps_t], *[m[r] for m in maps_k]

@@ -850,9 +850,9 @@ def seq_pack_plan(
     block_refs = [ref for b in bundles for ref in b.block_refs]
     if not block_refs:
         return rd.from_arrow([_SEQ_PACK_EMPTY])
-    from ..core.salting import cluster_range_count
+    from ..core.exchange import range_count
 
-    ranges = cluster_range_count(n_shards)
+    ranges = range_count(cap=n_shards)
     per = 8
     mapped = [
         _seq_pack_split.options(num_returns=ranges).remote(
@@ -1045,9 +1045,9 @@ def seq_pack_execute(
     ).empty_table()
     if not block_refs:
         return rd.from_arrow([empty])
-    from ..core.salting import cluster_range_count
+    from ..core.exchange import range_count
 
-    ranges = cluster_range_count(n_shards)
+    ranges = range_count(cap=n_shards)
     per = 8
     mapped = [
         _seq_pack_split.options(num_returns=ranges).remote(

@@ -49,6 +49,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..core import exchange
 from ..core.collect import collect_table as _collect
 from ..core.hashing import splitmix64
 from ..core.schema import ALLOWED_SOURCES as _ALLOWED
@@ -651,9 +652,7 @@ def seq_length_batches(sf_dir: str, batch_rows: int = LENBATCH_B) -> pa.Table:
     block_refs = [ref for b in bundles for ref in b.block_refs]
     if not block_refs:
         return _LENBATCH_SCHEMA.empty_table()
-    from ..core.salting import cluster_range_count
-
-    ranges = cluster_range_count(MAX_N_TOK_DEFAULT)
+    ranges = exchange.range_count(cap=MAX_N_TOK_DEFAULT)
     # contiguous n_tok intervals: bounds[r] = first n_tok of range r+1
     width = -(-MAX_N_TOK_DEFAULT // ranges)
     per = 8
@@ -1755,9 +1754,7 @@ def prepare_training_sequences(
         # empty plan: nothing to sink (a partitioned write of 0 rows writes
         # no files, which a resume read could not distinguish from failure)
         return rd.from_arrow([_SEQ_PACK_EMPTY])
-    from ..core.salting import cluster_range_count
-
-    ranges = cluster_range_count(n_shards)
+    ranges = exchange.range_count(cap=n_shards)
     per = 8
     mapped = [
         _seq_pack_split.options(num_returns=ranges).remote(
@@ -4172,23 +4169,14 @@ def _diff_map(paths: list, ranges: int) -> tuple:
     group (one ObjectRef per range via num_returns)."""
     import pyarrow.parquet as pq
 
-    from ..core.hashing import range_edges
-
-    parts = [[] for _ in range(ranges)]
-    for p in paths:
-        t = pq.read_table(p, columns=["doc_id", "tokens"])
-        _, _, idh, hi, lo = _diff_row_keys(t)
-        order = np.argsort(idh, kind="stable")
-        idh, hi, lo = idh[order], hi[order], lo[order]
-        cuts = np.searchsorted(idh, range_edges(ranges))
-        for r, (a, b) in enumerate(zip(np.r_[0, cuts], np.r_[cuts, idh.size])):
-            parts[r].append((idh[a:b], hi[a:b], lo[a:b]))
-    return tuple(
-        tuple(np.concatenate(c) for c in zip(*part))
-        if part
-        else (np.empty(0, np.uint64),) * 3
-        for part in parts
-    )
+    keys = [
+        _diff_row_keys(pq.read_table(p, columns=["doc_id", "tokens"]))[2:]
+        for p in paths
+    ]
+    idh, hi, lo = (np.concatenate(c) for c in zip(*keys))
+    order = np.argsort(idh, kind="stable")
+    hs = idh[order]
+    return tuple(exchange.split(hs, ranges, hs, hi[order], lo[order]))
 
 
 @ray.remote
@@ -4247,23 +4235,17 @@ def seq_corpus_diff_files(
     Contract and scale shape in the section comment above."""
     from collections import Counter
 
-    if ranges is None:
-        try:
-            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:  # pragma: no cover - no cluster
-            ranges = 8
-    ranges = max(2, ranges)
     if files_per_task is None:
         # both sides scan concurrently, so size each side at ~1 task/core
         files_per_task = max(1, _cpu_files_per_task(max(len(files_a), len(files_b))) // 1)
     groups_a = [files_a[i : i + files_per_task] for i in range(0, len(files_a), files_per_task)]
     groups_b = [files_b[i : i + files_per_task] for i in range(0, len(files_b), files_per_task)]
-    maps_a = [_diff_map.options(num_returns=ranges).remote(g, ranges) for g in groups_a]
-    maps_b = [_diff_map.options(num_returns=ranges).remote(g, ranges) for g in groups_b]
-    cand_refs = [
-        _diff_reduce.remote(len(maps_a), *[m[r] for m in maps_a], *[m[r] for m in maps_b])
-        for r in range(ranges)
-    ]
+    # side A's groups first: the reduce weighs the first len(groups_a)
+    # partials +1 and the rest -1
+    cand_refs = exchange.run(
+        _diff_map, groups_a + groups_b, _diff_reduce, exchange.range_count(ranges),
+        reduce_args=(len(groups_a),),
+    )
     cand = np.unique(np.concatenate(ray.get(cand_refs)))
     if cand.size == 0:
         return _DIFF_SCHEMA.empty_table()
@@ -4331,64 +4313,36 @@ _INCDEDUP_SCHEMA = pa.schema(
 
 
 @ray.remote
-def _inc_map_base(paths: list, ranges: int) -> tuple:
-    """Per content-hash range: sorted (h1, h2) identity-pair arrays for
-    this base fragment group (read in-task — base payloads never enter the
-    object store)."""
+def _inc_map(group: tuple, ranges: int, cols: tuple) -> tuple:
+    """Per content-hash range, for ``group`` = (is_new, paths): a base
+    group's (h1, h2) identity-pair arrays (payloads are read in-task and
+    never enter the object store), or a new group's ``cols`` rows with
+    (__h1, __h2) identity columns appended."""
     import pyarrow.parquet as pq
 
-    from ..core.hashing import range_edges
-
-    parts: list = [[] for _ in range(ranges)]
-    for p in paths:
-        t = pq.read_table(p, columns=["tokens"])
+    is_new, paths = group
+    read_cols = list(dict.fromkeys([*cols, "tokens"])) if is_new else ["tokens"]
+    tables = [
+        pq.read_table(p, columns=read_cols).replace_schema_metadata(None)
+        for p in paths
+    ]
+    h1, h2 = [], []
+    for t in tables:
         offs, vals = _tokens_parts(t.column("tokens"))
-        h1 = _content_hash(offs, vals)
-        h2 = _content_hash(offs, vals, tweak=_INC_TWEAK)
-        order = np.lexsort((h2, h1))
-        h1, h2 = h1[order], h2[order]
-        cuts = np.searchsorted(h1, range_edges(ranges))
-        for r, (a, b) in enumerate(zip(np.r_[0, cuts], np.r_[cuts, h1.size])):
-            parts[r].append((h1[a:b], h2[a:b]))
-    return tuple(
-        tuple(np.concatenate(c) for c in zip(*part))
-        if part
-        else (np.empty(0, _U64),) * 2
-        for part in parts
+        h1.append(_content_hash(offs, vals))
+        h2.append(_content_hash(offs, vals, tweak=_INC_TWEAK))
+    h1, h2 = np.concatenate(h1), np.concatenate(h2)
+    order = np.argsort(h1, kind="stable")
+    hs = h1[order]
+    if not is_new:
+        return tuple(exchange.split(hs, ranges, hs, h2[order]))
+    sel = (
+        pa.concat_tables([t.select(list(cols)) for t in tables])
+        .append_column("__h1", pa.array(h1.view(np.int64)))
+        .append_column("__h2", pa.array(h2.view(np.int64)))
+        .take(pa.array(order))
     )
-
-
-@ray.remote
-def _inc_map_new(paths: list, ranges: int, cols: tuple) -> tuple:
-    """Per content-hash range: this new fragment group's rows (selected
-    columns) with (h1, h2) identity columns appended."""
-    import pyarrow.parquet as pq
-
-    from ..core.hashing import range_edges
-
-    read_cols = list(dict.fromkeys(list(cols) + ["tokens"]))
-    parts: list = [[] for _ in range(ranges)]
-    schema = None
-    for p in paths:
-        t = pq.read_table(p, columns=read_cols).replace_schema_metadata(None)
-        offs, vals = _tokens_parts(t.column("tokens"))
-        h1 = _content_hash(offs, vals)
-        h2 = _content_hash(offs, vals, tweak=_INC_TWEAK)
-        sel = (
-            t.select(list(cols))
-            .append_column("__h1", pa.array(h1.view(np.int64)))
-            .append_column("__h2", pa.array(h2.view(np.int64)))
-        )
-        schema = sel.schema
-        order = np.argsort(h1, kind="stable")
-        sel = sel.take(pa.array(order))
-        hs = h1[order]
-        cuts = np.searchsorted(hs, range_edges(ranges))
-        for r, (a, b) in enumerate(zip(np.r_[0, cuts], np.r_[cuts, hs.size])):
-            if b > a:
-                parts[r].append(sel.slice(a, b - a))
-    empty = schema.empty_table()
-    return tuple(pa.concat_tables(part) if part else empty for part in parts)
+    return tuple(part for (part,) in exchange.split(hs, ranges, sel))
 
 
 @ray.remote
@@ -4505,29 +4459,19 @@ def seq_incremental_dedup_files(
             files_new, columns=list(dict.fromkeys(list(out_cols) + ["tokens"]))
         ).map_batches(filt, batch_format="pyarrow")
     else:
-        if ranges is None:
-            try:
-                ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-            except Exception:  # pragma: no cover - no cluster
-                ranges = 8
-        ranges = max(2, ranges)
         fpt = max(1, _cpu_files_per_task(max(len(files_base), len(files_new))))
-        groups_b = [files_base[i : i + fpt] for i in range(0, len(files_base), fpt)]
-        groups_n = [files_new[i : i + fpt] for i in range(0, len(files_new), fpt)]
-        maps_b = [
-            _inc_map_base.options(num_returns=ranges).remote(g, ranges)
-            for g in groups_b
+        groups_b = [
+            (False, files_base[i : i + fpt]) for i in range(0, len(files_base), fpt)
         ]
-        maps_n = [
-            _inc_map_new.options(num_returns=ranges).remote(g, ranges, out_cols)
-            for g in groups_n
+        groups_n = [
+            (True, files_new[i : i + fpt]) for i in range(0, len(files_new), fpt)
         ]
-        out_refs = [
-            _inc_reduce.remote(
-                len(maps_b), *[m[r] for m in maps_b], *[m[r] for m in maps_n]
-            )
-            for r in range(ranges)
-        ]
+        # base groups first: the reduce reads the first len(groups_b)
+        # partials as the base identity set
+        out_refs = exchange.run(
+            _inc_map, groups_b + groups_n, _inc_reduce, exchange.range_count(ranges),
+            map_args=(out_cols,), reduce_args=(len(groups_b),),
+        )
         admitted = rd.from_arrow_refs(out_refs)
     if payload:
         return admitted

@@ -93,6 +93,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..core.exchange import range_count
 from ..core.hashing import hash_ints, range_edges as _hop_edges, splitmix64
 from ..core.schema import VOCAB
 from .substring import (
@@ -441,12 +442,7 @@ def _anchor_refs(
     if L % 2 or L < 2:
         raise ValueError("gram width L must be a positive multiple of 2")
     gtype = pa.binary(4 * L)
-    if ranges is None:
-        try:
-            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            ranges = 8
-    ranges = max(2, ranges)
+    ranges = range_count(ranges)
     dup_sorted = _dup_keys(sf_dir)
 
     W = min_run - L + 1

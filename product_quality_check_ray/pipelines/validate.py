@@ -3,7 +3,7 @@
 Dataflow (SURVEY.md §3.1 "our engine's equivalent plan")::
 
     read_parquet(fragments, include_paths)            # blocks = Arrow tables
-      └ map_batches(RowCheckStage, concurrency=pool)  # ONE fused pass:
+      └ map_batches(_row_check_task)                  # ONE fused pass:
            • schema conformance + all row checks (vectorized, zero-copy)
            • violation rows → partition-local parquet (side sink, no shuffle)
            • per-(partition, source) partials: counts, n_tok histogram,
@@ -101,25 +101,12 @@ def _phase_log(name: str, t0: float) -> None:
         print(f"[pqcray] {name}: {time.time() - t0:.2f}s", file=sys.stderr, flush=True)
 
 
-def _default_pool() -> tuple[int, int]:
-    """Actor pool sized to HALF the CPUs (autoscaling up to that cap).
-
-    The other half stays free for the parquet read tasks feeding the pool —
-    measured: a pool of cpus-2 actors starves the reads and a fully
-    pre-started pool competes with them during startup; cpus/2 with
-    autoscaling was fastest at both 8 and 32 CPUs."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return (1, max(2, cpus // 2))
-
-
 class RowCheckStage:
-    """Actor-pool stage: fused row checks + violation side-sink + partials.
+    """Fused row checks + violation side-sink + partials, called on a table
+    with a ``path`` column.
 
-    Dimension state (allowlist, caps, vocab) is built ONCE per actor in
-    ``__init__`` from constructor kwargs — the Ray-native version of the
+    Dimension state (allowlist, caps, vocab) is built ONCE per worker in
+    ``__init__`` (see ``_row_check_task``) — the Ray-native version of the
     reference's module-global dictionary indexes (``banningredients.py:25``).
     """
 
@@ -337,10 +324,8 @@ def run_validation(
     resume: bool = True,
     wave_files: int = 128,
     batch_size: int | None = None,
-    concurrency: tuple[int, int] | int | None = None,
     write_violations: bool = True,
     uniqueness: bool = True,
-    use_actor_pool: bool = False,
     enabled_checks: list[str] | None = None,
     write_clean: bool = False,
     schema_repair: bool = False,
@@ -384,11 +369,10 @@ def run_validation(
     make THIS corpus the reference for the next run, closing the
     corpus-evolution loop (CLI: ``--ref-hist`` / ``--export-hist``).
 
-    ``use_actor_pool=False`` (default) runs the fused row checks as tasks on
-    Ray's shared worker pool with a per-worker stage cache — measured faster
-    than a dedicated actor pool because the stage state is tiny and actor
-    startup dominated wave latency. Set True for stages whose state is
-    genuinely expensive to rebuild per worker (big models, large indexes).
+    The fused row checks run as tasks on Ray's shared worker pool with a
+    per-worker stage cache — measured faster than a dedicated actor pool
+    because the stage state is tiny and actor startup dominated wave
+    latency.
 
     ``batch_size=None`` processes whole read blocks zero-copy (no re-slice);
     the vectorized kernel is size-insensitive, and input fragments bound the
@@ -414,7 +398,6 @@ def run_validation(
         schema_repair=schema_repair,
         warn_checks=warn_checks,
     )
-    pool = concurrency if concurrency is not None else _default_pool()
     cfg_digest = _config_digest(
         allow, enabled_checks, warn_checks, schema_repair,
         write_violations, write_clean,
@@ -477,30 +460,12 @@ def run_validation(
             "prescreen_ref": prescreen_ref,
             "warn_checks": warn_checks,
         }
-        if use_actor_pool:
-            staged = ds.map_batches(
-                RowCheckStage,
-                fn_constructor_kwargs=stage_kwargs,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=pool,
-                num_cpus=1,
-            )
-        else:
-            task_kwargs: dict[str, Any] = {}
-            if concurrency is not None:
-                # honor an explicit caller cap on the task path too (tasks
-                # take a single max-concurrency int)
-                task_kwargs["concurrency"] = (
-                    concurrency[1] if isinstance(concurrency, tuple) else concurrency
-                )
-            staged = ds.map_batches(
-                _row_check_task,
-                fn_kwargs=stage_kwargs,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                **task_kwargs,
-            )
+        staged = ds.map_batches(
+            _row_check_task,
+            fn_kwargs=stage_kwargs,
+            batch_format="pyarrow",
+            batch_size=batch_size,
+        )
         partials = staged.take_all()
         _phase_log(f"rowcheck wave({len(wave)} files)", t0)
         t1 = time.time()

@@ -46,6 +46,7 @@ import pyarrow as pa
 
 import ray
 
+from ..core.exchange import range_count
 from ..core.hashing import hash_ints, range_edges as _edges
 
 COMP_SEED = 23
@@ -207,12 +208,7 @@ def connected_component_refs(
     cap = DRIVER_PAIR_CAP if driver_cap is None else driver_cap
     if id_a.size <= cap:
         return [ray.put(union_find_labels(id_a, id_b))]
-    if ranges is None:
-        try:
-            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            ranges = 8
-    ranges = max(2, ranges)
+    ranges = range_count(ranges)
 
     # setup: edges both ways, range-partitioned; driver keeps refs only
     edge_refs = [
@@ -221,8 +217,6 @@ def connected_component_refs(
         )
         for i in range(0, id_a.size, pairs_per_setup)
     ]
-    if ranges == 1:  # pragma: no cover - ranges clamped >= 2
-        edge_refs = [[e] for e in edge_refs]
     states = [
         _init_labels.remote(*[chunk[r] for chunk in edge_refs]) for r in range(ranges)
     ]

@@ -21,11 +21,14 @@ efficiently, here):
 Scale notes (10^12 rows, 256 nodes): the reduce moves 8 bytes/row of hash +
 8 of count — ~2% of a token-corpus's bytes — and hash ranges give perfectly
 uniform partitioning regardless of doc_id skew (the salting the north rule
-asks for falls out of hashing). For very large runs pass ``wave_size`` to
-enable the TWO-LEVEL reduce (fragment-wave partials → range partials via
-``_combine_range``): per-task ObjectRef counts drop from O(fragments) to
-max(wave_size, n_waves), byte-equal to the one-level path (totals are
-associative; pinned by test). ``ranges`` should then be ~cluster cores.
+asks for falls out of hashing). Steps 1–2 are a ``core.exchange.run``: above
+``exchange.FAN_IN`` map outputs it inserts the TWO-LEVEL reduce
+(fragment-wave partials → range partials via ``_combine_range``), so
+per-task ObjectRef counts stay at max(FAN_IN, n_waves) instead of
+O(fragments), byte-equal to the one-level path (totals are associative;
+pinned by test). The file-fed map stays below ``FAN_IN`` groups
+(``file_groups``); block-fed callers reach the wave level past
+FAN_IN × ``exchange.BLOCKS_PER_TASK`` blocks.
 The recover pass assumes |duplicates| ≪ |corpus| (training-data QA regime).
 
 Reference analog: cross-row segment dedupe via in-memory ``seen`` set
@@ -42,20 +45,10 @@ import pyarrow.parquet as pq
 
 import ray
 
-from ..core.hashing import hash_strings, range_edges as _range_edges
+from ..core import exchange
+from ..core.hashing import hash_strings
 
 HASH_SEED = 7
-
-
-def _default_ranges(ranges: "int | None") -> int:
-    """Hash-range count: the caller's, else the cluster's CPU count (≥ 8);
-    never below 2 (``range_edges`` needs two ranges)."""
-    if ranges is None:
-        try:
-            ranges = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            ranges = 8
-    return max(2, ranges)
 
 
 def file_groups(files: list[str], ranges: "int | None" = None) -> list[list[str]]:
@@ -64,7 +57,7 @@ def file_groups(files: list[str], ranges: "int | None" = None) -> list[list[str]
     ≥ files // 64) — so the map's ObjectRef count stays O(groups × ranges)
     and per-task overhead is paid per group, not per file. Shared by every
     per-fragment pass over a duplicate set."""
-    ranges = _default_ranges(ranges)
+    ranges = exchange.range_count(ranges)
     group = max(1, len(files) // (ranges * 2), len(files) // 64)
     return [files[i : i + group] for i in range(0, len(files), group)]
 
@@ -83,79 +76,47 @@ def _group_ids(paths: list[str]) -> pa.Array:
     return pa.concat_arrays([read_doc_ids(p) for p in paths]).drop_null()
 
 
+def _split_counts(h: np.ndarray, ranges: int) -> tuple:
+    """Per-range (distinct hashes, counts) of one map task's hashes."""
+    uv, uc = np.unique(h, return_counts=True)
+    return tuple(exchange.split(uv, ranges, uv, uc.astype(np.int64)))
+
+
 @ray.remote
 def _map_fragment(paths: list[str], ranges: int) -> tuple:
-    """Returns `ranges` objects (one (hashes, counts) pair per hash range) so
-    partials flow worker→worker via the object store — the driver never
-    materializes them (invoked with ``num_returns=ranges``). Takes a small
-    GROUP of fragments per task to bound the total ObjectRef count at
-    O(files/group × ranges)."""
+    """(hash, count) partials of one file group's doc_ids, one per hash
+    range. Takes a small GROUP of fragments per task to bound the total
+    ObjectRef count at O(files/group × ranges)."""
     col = _group_ids(paths)
-    if len(col) == 0:
-        empty = np.empty(0, dtype=np.uint64)
-        return tuple((empty, empty.astype(np.int64)) for _ in range(ranges))
-    h = hash_strings(col, seed=HASH_SEED)
-    uv, uc = np.unique(h, return_counts=True)
-    idx = np.searchsorted(uv, _range_edges(ranges))
-    return tuple(zip(np.split(uv, idx), np.split(uc.astype(np.int64), idx)))
+    h = hash_strings(col, seed=HASH_SEED) if len(col) else np.empty(0, np.uint64)
+    return _split_counts(h, ranges)
+
+
+def _merge_counts(parts) -> tuple:
+    """One range's (hash, count) partials merged into sorted distinct
+    hashes and their totals."""
+    vs = np.concatenate([p[0] for p in parts])
+    cs = np.concatenate([p[1] for p in parts])
+    order = np.argsort(vs, kind="stable")
+    return exchange.segment_sum(vs[order], cs[order])
 
 
 @ray.remote
 def _combine_range(*parts) -> tuple:
-    """Wave-level partial combine for one hash range: merge (hash, count)
-    partials into ONE sorted, deduplicated (hash, count) pair WITHOUT the
-    ≥2 filter — the intermediate level of the two-level reduce that bounds
-    per-task ObjectRef counts at O(wave) instead of O(fragments)."""
-    vs = np.concatenate([p[0] for p in parts])
-    if vs.size == 0:
-        return vs, vs.astype(np.int64)
-    cs = np.concatenate([p[1] for p in parts])
-    order = np.argsort(vs, kind="stable")
-    vs, cs = vs[order], cs[order]
-    change = np.empty(vs.size, dtype=bool)
-    change[0] = True
-    np.not_equal(vs[1:], vs[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    return vs[starts], np.add.reduceat(cs, starts)
-
-
-def _maybe_two_level(mapped, ranges: int, wave_size: "int | None"):
-    """Fragment-wave partial combine (the module docstring's 'very large
-    runs' note): when ``wave_size`` is set and more map outputs exist than
-    one wave, each range's partials are first combined per wave of
-    ``wave_size`` map tasks, so no downstream task ever receives more than
-    max(wave_size, n_waves) ObjectRefs. Totals are associative — the final
-    reduce sees identical sums either way (byte-equality pinned by test)."""
-    if wave_size is None or len(mapped) <= wave_size:
-        return mapped
-    waves = [mapped[i : i + wave_size] for i in range(0, len(mapped), wave_size)]
-    return [
-        tuple(
-            _combine_range.remote(*[m[r] for m in wave]) for r in range(ranges)
-        )
-        for wave in waves
-    ]
+    """Wave-level combine for one hash range: ONE sorted, deduplicated
+    (hash, count) pair WITHOUT the ≥2 filter."""
+    return _merge_counts(parts)
 
 
 @ray.remote
-def _reduce_range(*parts, max_count: "int | None" = None) -> np.ndarray:
-    vs = np.concatenate([p[0] for p in parts])
-    if vs.size == 0:
-        return vs
-    cs = np.concatenate([p[1] for p in parts])
-    order = np.argsort(vs, kind="stable")
-    vs, cs = vs[order], cs[order]
-    change = np.empty(vs.size, dtype=bool)
-    change[0] = True
-    np.not_equal(vs[1:], vs[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    totals = np.add.reduceat(cs, starts)
+def _reduce_range(max_count: "int | None", *parts) -> np.ndarray:
+    vs, totals = _merge_counts(parts)
     keep = totals > 1
     if max_count is not None:
         # hot-key drop: values over the cap are excluded ENTIRELY (the
         # caller's SQL oracle mirrors the same HAVING count(*) <= cap)
         keep &= totals <= max_count
-    return vs[starts][keep]
+    return vs[keep]
 
 
 @ray.remote
@@ -257,7 +218,6 @@ def find_duplicates(
     ranges: int | None = None,
     *,
     range_pruning: bool = True,
-    wave_size: int | None = None,
 ) -> dict[str, int]:
     """Exact global {doc_id: count} for doc_ids appearing more than once.
 
@@ -278,23 +238,12 @@ def find_duplicates(
         for d in ray.get([_local_duplicates.remote(g) for g in groups]):
             totals.update(d)  # disjoint ranges → disjoint key sets per task
         return totals
-    ranges = _default_ranges(ranges)
-    # num_returns=ranges: each map task emits one ObjectRef per hash range;
-    # the refs (not the data) are routed to the reduce tasks as positional
-    # args, so Ray dereferences them worker-side — partials never touch the
-    # driver (the 10^12-scale contract in the module docstring)
+    ranges = exchange.range_count(ranges)
     groups = file_groups(files, ranges)
-    mapped_refs = [
-        _map_fragment.options(num_returns=ranges).remote(g, ranges) for g in groups
-    ]
-    # two-level reduce (opt-in via wave_size): fragment-wave partials →
-    # range partials, bounding per-task ObjectRef counts at very high
-    # fragment counts (10^5 fragments × 256 ranges would otherwise hand
-    # every reduce task 10^5 refs)
-    mapped_refs = _maybe_two_level(mapped_refs, ranges, wave_size)
-    dup_refs = [
-        _reduce_range.remote(*[m[r] for m in mapped_refs]) for r in range(ranges)
-    ]
+    dup_refs = exchange.run(
+        _map_fragment, groups, _reduce_range, ranges,
+        reduce_args=(None,), combine=_combine_range,
+    )
     dup_hashes = np.sort(np.concatenate(ray.get(dup_refs)))
     if dup_hashes.size == 0:
         return {}
@@ -351,7 +300,6 @@ def dup_group_id_refs(
     *,
     drop_min: bool,
     ranges: int | None = None,
-    blocks_per_task: int = 8,
 ) -> list:
     """Ids of rows belonging to duplicate KEY groups (exact key equality,
     computed per hash range), as ObjectRefs of (doc_id) Arrow tables — the
@@ -365,47 +313,27 @@ def dup_group_id_refs(
     LOSER set when keys are full fingerprints). Keys travel as exact
     values, so reduce-side grouping is collision-free for string keys.
     """
-    from .pairreduce import _map_blocks
+    from .pairreduce import map_keys
 
-    ranges = _default_ranges(ranges)
-    bundles = list(ds.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    if not block_refs:
+    groups = exchange.block_groups(ds)
+    if not groups:
         return []
-    mapped = [
-        _map_blocks.options(num_returns=ranges).remote(
-            block_refs[i : i + blocks_per_task], key_col, id_col, ranges, None
-        )
-        for i in range(0, len(block_refs), blocks_per_task)
-    ]
-    return [
-        _dup_group_ids_range.remote(drop_min, *[m[r] for m in mapped])
-        for r in range(ranges)
-    ]
+    return exchange.run(
+        map_keys, groups, _dup_group_ids_range, exchange.range_count(ranges),
+        map_args=(key_col, id_col, None), reduce_args=(drop_min,),
+    )
 
 
 @ray.remote
-def _map_hash_blocks(block_refs: list, col: str, ranges: int) -> tuple:
-    """Per-block (hash, count) partials split by hash range, for a Dataset
-    column that ALREADY holds 64-bit hashes (int64 view). Same dataflow as
-    ``_map_fragment`` but fed by object-store block refs instead of files."""
-    blocks = ray.get(list(block_refs))
-    tables = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b]) for b in blocks]
-    # column-wise concat: blocks can differ in schema METADATA (pandas keys
-    # survive on some provenances), which fails pa.concat_tables
-    cols = [
-        t.column(col).combine_chunks().to_numpy(zero_copy_only=False)
-        for t in tables
-        if t.num_rows
-    ]
-    vals = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    h = np.ascontiguousarray(vals).view(np.uint64)
-    if h.size == 0:
-        empty = np.empty(0, dtype=np.uint64)
-        return tuple((empty, empty.astype(np.int64)) for _ in range(ranges))
-    uv, uc = np.unique(h, return_counts=True)
-    idx = np.searchsorted(uv, _range_edges(ranges))
-    return tuple(zip(np.split(uv, idx), np.split(uc.astype(np.int64), idx)))
+def _map_hash_blocks(block_refs: list, ranges: int, col: str) -> tuple:
+    """(hash, count) partials of a block group, one per hash range, for a
+    Dataset column that ALREADY holds 64-bit hashes (int64 view). Same
+    dataflow as ``_map_fragment`` but fed by object-store block refs."""
+    t = exchange.fetch_table(block_refs, [col])
+    vals = (
+        t.column(col).to_numpy() if t is not None else np.empty(0, dtype=np.int64)
+    )
+    return _split_counts(np.ascontiguousarray(vals).view(np.uint64), ranges)
 
 
 def find_dup_hash_values(
@@ -413,9 +341,7 @@ def find_dup_hash_values(
     col: str,
     *,
     ranges: int | None = None,
-    blocks_per_task: int = 8,
     max_count: int | None = None,
-    wave_size: int | None = None,
 ) -> np.ndarray:
     """int64 hash values occurring ≥ 2 times in ``ds[col]`` via the
     hash-range tree reduce (values are assumed uniform 64-bit hashes, so
@@ -430,23 +356,13 @@ def find_dup_hash_values(
     (uint64, int64) numpy pairs worker→worker. Callers must verify
     candidates exactly (64-bit collision contract, as ``find_duplicates``).
     """
-    ranges = _default_ranges(ranges)
-    bundles = list(ds.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    if not block_refs:
+    groups = exchange.block_groups(ds)
+    if not groups:
         return np.empty(0, dtype=np.int64)
-    mapped = [
-        _map_hash_blocks.options(num_returns=ranges).remote(
-            block_refs[i : i + blocks_per_task], col, ranges
-        )
-        for i in range(0, len(block_refs), blocks_per_task)
-    ]
-    mapped = _maybe_two_level(mapped, ranges, wave_size)
     reduced = ray.get(
-        [
-            _reduce_range.remote(*[m[r] for m in mapped], max_count=max_count)
-            for r in range(ranges)
-        ]
+        exchange.run(
+            _map_hash_blocks, groups, _reduce_range, exchange.range_count(ranges),
+            map_args=(col,), reduce_args=(max_count,), combine=_combine_range,
+        )
     )
-    out = np.concatenate([r for r in reduced]) if reduced else np.empty(0, dtype=np.uint64)
-    return np.ascontiguousarray(out).view(np.int64)
+    return np.concatenate(reduced).view(np.int64)

@@ -180,14 +180,16 @@ def test_dupfinder_matches_dataset_groupby(ray_session, tmp_path):
     assert len(via_tree) > 0
 
 
-def test_dupfinder_two_level_reduce_byte_equal(ray_session, tmp_path):
-    """Opt-in two-level reduce (fragment-wave partials → range partials):
-    byte-equal to the one-level path for both the file-fed count reduce and
-    the block-fed hash-value reduce, including the max_count hot-key drop.
-    wave_size=1 forces a combine for EVERY map output (the degenerate worst
-    case); 16 fragments ≫ wave sizes exercises multi-wave merging."""
+def test_dupfinder_two_level_reduce_byte_equal(ray_session, tmp_path, monkeypatch):
+    """Two-level reduce (fragment-wave partials → range partials, taken
+    above ``exchange.FAN_IN`` map outputs): byte-equal to the one-level path
+    for both the file-fed count reduce and the block-fed hash-value reduce,
+    including the max_count hot-key drop. FAN_IN=1 forces a combine for
+    EVERY map output (the degenerate worst case); 16 fragments ≫ FAN_IN
+    exercises multi-wave merging."""
     import ray.data as rd
 
+    from product_quality_check_ray.core import exchange
     from product_quality_check_ray.datagen import write_sequences
     from product_quality_check_ray.pipelines.validate import input_fragments
     from product_quality_check_ray.state import dupfinder
@@ -196,22 +198,18 @@ def test_dupfinder_two_level_reduce_byte_equal(ray_session, tmp_path):
     files = input_fragments(seq)
     one = dupfinder.find_duplicates(files, range_pruning=False)
     assert len(one) > 0
-    for w in (1, 3):
-        assert (
-            dupfinder.find_duplicates(files, range_pruning=False, wave_size=w)
-            == one
-        )
-
     ds = rd.read_parquet(files, columns=["n_tok"]).materialize()
     base = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok"))
     assert base.size > 0
-    two = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok", wave_size=2))
-    assert np.array_equal(base, two)
     capped = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok", max_count=3))
-    capped2 = np.sort(
-        dupfinder.find_dup_hash_values(ds, "n_tok", max_count=3, wave_size=2)
-    )
-    assert np.array_equal(capped, capped2)
+    for fan_in in (1, 3):
+        monkeypatch.setattr(exchange, "FAN_IN", fan_in)
+        monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 1)
+        assert dupfinder.find_duplicates(files, range_pruning=False) == one
+        two = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok"))
+        assert np.array_equal(base, two)
+        capped2 = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok", max_count=3))
+        assert np.array_equal(capped, capped2)
 
 
 def test_multimodal_stub_contract(fixture_dir):
@@ -689,6 +687,44 @@ def test_lookup_join_tiny_dim_cap0(ray_session):
     a, b = run(None), run(0)
     assert a.equals(b)
     assert sorted(a["name"]) == ["one", "two", "two"]  # inner: null + 9 drop
+
+
+@pytest.mark.parametrize("cap", [0, None])
+def test_join_key_type_families_must_agree(ray_session, cap):
+    """Integer keys against string keys raise at entry on every path (the
+    exchange paths hash each family differently, so they used to return a
+    silently empty match set); int32 against int64 still joins."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from product_quality_check_ray.core.joins import lookup_join, semi_join
+
+    facts = rd.from_arrow(
+        pa.table({"k": pa.array([1, 2, 3, None], type=pa.int64()), "v": list("abcd")})
+    )
+    str_keys = rd.from_arrow(pa.table({"k": pa.array(["1", "2"])}))
+    str_dim = rd.from_arrow(pa.table({"dk": pa.array(["1", "2"]), "name": ["one", "two"]}))
+    for anti in (False, True):
+        with pytest.raises(TypeError, match="int64.*string"):
+            semi_join(facts, "k", str_keys, "k", anti=anti, cap=cap)
+    with pytest.raises(TypeError, match="int64.*string"):
+        lookup_join(facts, "k", str_dim, "dk", ["name"], cap=cap)
+
+    keys32 = rd.from_arrow(pa.table({"k": pa.array([1, 2], type=pa.int32())}))
+    dim32 = rd.from_arrow(
+        pa.table({"dk": pa.array([1, 2], type=pa.int32()), "name": ["one", "two"]})
+    )
+
+    def rows(ds):
+        return sorted(ds.to_pandas().itertuples(index=False), key=repr)
+
+    assert [r.v for r in rows(semi_join(facts, "k", keys32, "k", cap=cap))] == ["a", "b"]
+    assert [r.v for r in rows(semi_join(facts, "k", keys32, "k", anti=True, cap=cap))] == [
+        "c",
+        "d",
+    ]
+    got = rows(lookup_join(facts, "k", dim32, "dk", ["name"], cap=cap))
+    assert [(r.v, r.name) for r in got] == [("a", "one"), ("b", "two")]
 
 
 def test_grouped_topk_orders_join_fallback_matches(ray_session, monkeypatch):
@@ -2456,7 +2492,7 @@ def test_locate_ids_long_id_stats_dropped(ray_session, tmp_path):
     assert out == [{"doc_id": target, "fragment": "frag-000.parquet", "n_rows": 1}]
 
 
-def test_pairreduce_size_col_survives_empty_blocks(ray_session):
+def test_pairreduce_size_col_survives_empty_blocks(ray_session, monkeypatch):
     """An all-empty block bundle must not poison a size_col reduce (review
     finding: the empty sentinel carried None in the sizes slot and
     np.concatenate died in ranges mixing it with real parts)."""
@@ -2464,6 +2500,7 @@ def test_pairreduce_size_col_survives_empty_blocks(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
+    from product_quality_check_ray.core import exchange
     from product_quality_check_ray.state.pairreduce import cooccurrence_pairs
 
     full = pa.table(
@@ -2475,9 +2512,10 @@ def test_pairreduce_size_col_survives_empty_blocks(ray_session):
     )
     empty = full.slice(0, 0)
     ds = rd.from_arrow([full, empty, empty]).materialize()
-    out = cooccurrence_pairs(
-        ds, "key", "doc_id", size_col="n", blocks_per_task=1
-    ).sort_values(["id_a"]).reset_index(drop=True)
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 1)
+    out = cooccurrence_pairs(ds, "key", "doc_id", size_col="n").sort_values(
+        ["id_a"]
+    ).reset_index(drop=True)
     assert out["id_a"].tolist() == [1, 3]
     assert out["id_b"].tolist() == [2, 4]
     assert out["size_a"].tolist() == [10, 30] and out["size_b"].tolist() == [20, 40]
