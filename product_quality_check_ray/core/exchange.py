@@ -10,12 +10,11 @@ pairs, corpus diffs, content-membership tests) has the same dataflow:
 2. **reduce** (one task per range): receive that range's partial from every
    map task and aggregate them — equal keys share a hash, so they co-locate.
 
-``run`` issues both levels; ``split`` cuts a hash-sorted map output into the
-per-range partials; ``block_groups`` / ``fetch_table`` feed a map from a
-Dataset's blocks. When a reduce would receive more than ``FAN_IN`` refs and
-the caller supplies an associative ``combine`` task, ``run`` inserts a wave
-level (``FAN_IN`` map outputs per combine) so no task ever receives more
-than max(``FAN_IN``, waves) refs; the final totals are unchanged.
+``run`` issues both levels (``map_ranges`` then ``reduce_ranges``; a
+reduce over two map families — the two sides of a diff — issues each
+family's maps and routes them together); ``split`` cuts a hash-sorted map
+output into the per-range partials; ``block_groups`` / ``fetch_table`` feed
+a map from a Dataset's blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import ray
 from .hashing import range_edges
 
 BLOCKS_PER_TASK = 8  # Dataset blocks per map task
-FAN_IN = 128  # map outputs per reduce before the wave level starts
 
 
 def range_count(ranges: "int | None" = None, cap: "int | None" = None) -> int:
@@ -96,6 +94,21 @@ def segment_sum(keys_sorted: np.ndarray, counts: np.ndarray) -> tuple:
     return keys_sorted[starts], np.add.reduceat(counts, starts)
 
 
+def map_ranges(map_task, inputs: list, ranges: int, *args) -> list:
+    """``map_task(input, ranges, *args)`` per input, with
+    ``num_returns=ranges``: one list of per-range partial refs per input."""
+    assert ranges >= 2
+    return [map_task.options(num_returns=ranges).remote(x, ranges, *args) for x in inputs]
+
+
+def reduce_ranges(mapped: list, reduce_task, ranges: int, *args) -> list:
+    """One ObjectRef per hash range: ``reduce_task(*args, *parts)``, where
+    ``parts`` holds the range's partial from each map in ``mapped`` order.
+    The refs (not the data) are routed, so Ray dereferences them
+    worker-side."""
+    return [reduce_task.remote(*args, *[m[r] for m in mapped]) for r in range(ranges)]
+
+
 def run(
     map_task,
     inputs: list,
@@ -104,24 +117,7 @@ def run(
     *,
     map_args: tuple = (),
     reduce_args: tuple = (),
-    combine=None,
 ) -> list:
-    """One ObjectRef per hash range: ``reduce_task(*reduce_args, *parts)``,
-    where ``parts`` holds the range's partial from each
-    ``map_task(input, ranges, *map_args)``, in ``inputs`` order. The refs
-    (not the data) are routed, so Ray dereferences them worker-side."""
-    assert ranges >= 2
-    mapped = [
-        map_task.options(num_returns=ranges).remote(x, ranges, *map_args)
-        for x in inputs
-    ]
-    if combine is not None and len(mapped) > FAN_IN:
-        waves = [mapped[i : i + FAN_IN] for i in range(0, len(mapped), FAN_IN)]
-        mapped = [
-            [combine.remote(*[m[r] for m in wave]) for r in range(ranges)]
-            for wave in waves
-        ]
-    return [
-        reduce_task.remote(*reduce_args, *[m[r] for m in mapped])
-        for r in range(ranges)
-    ]
+    """``reduce_ranges(map_ranges(...))``: one ObjectRef per hash range."""
+    mapped = map_ranges(map_task, inputs, ranges, *map_args)
+    return reduce_ranges(mapped, reduce_task, ranges, *reduce_args)

@@ -89,16 +89,15 @@ def _family(typ: "pa.DataType | None") -> "str | None":
     return None
 
 
-def _check_key_types(
-    ds: rd.Dataset, col: str, other: rd.Dataset, other_col: str
-) -> None:
-    """Raise TypeError when the two join keys belong to different families:
-    every path would otherwise match nothing and return silently empty."""
-    types = []
-    for d, c in ((ds, col), (other, other_col)):
-        schema = d.schema()
-        types.append(dict(zip(schema.names, schema.types)).get(c) if schema else None)
-    a, b = types
+def _key_type(schema, col: str) -> "pa.DataType | None":
+    return dict(zip(schema.names, schema.types)).get(col) if schema else None
+
+
+def _check_families(col: str, a, other_col: str, b) -> None:
+    """Raise TypeError, naming both types, when two join key types belong
+    to different families: the exchange paths hash each family its own way
+    (a silently empty match) and the broadcast paths cast one to the
+    other ("1" would match 1)."""
     if _family(a) and _family(b) and _family(a) != _family(b):
         raise TypeError(
             f"join key types disagree: {col!r} is {a}, {other_col!r} is {b}"
@@ -121,15 +120,18 @@ def semi_join(
     match (semi drops them, anti keeps them) — is_in/fill_null semantics on
     the broadcast path, mirrored by the null-filter on the join path.
     """
-    _check_key_types(ds, key_col, keys_ds, keys_col)
     cap = BROADCAST_KEY_CAP if cap is None else cap
     keys = probe_keys(keys_ds, keys_col, cap)
     if keys is not None:
         keys = keys.drop_null()
+        # here when ds's schema is known without running it, else per batch
+        ds_type = _key_type(ds.schema(fetch_if_missing=False), key_col)
+        _check_families(key_col, ds_type, keys_col, keys.type)
         ref = ray.put(keys)
 
         def filt(t: pa.Table) -> pa.Table:
             vals = ray.get(ref)
+            _check_families(key_col, t.column(key_col).type, keys_col, vals.type)
             mask = pc.fill_null(pc.is_in(t.column(key_col), value_set=vals), False)
             if anti:
                 mask = pc.invert(mask)
@@ -145,9 +147,10 @@ def semi_join(
     except Exception:  # pragma: no cover - no cluster
         ranges = max(8, num_partitions)
     ranges = max(2, ranges)
-    ktype = dict(zip(ds.schema().names, ds.schema().types))[key_col]
-    ds_m = ds.materialize()
+    ktype = _key_type(ds.schema(), key_col)
     keys_m = keys_ds.materialize()
+    _check_families(key_col, ktype, keys_col, _key_type(keys_m.schema(), keys_col))
+    ds_m = ds.materialize()
     l_refs = [r for b in ds_m.iter_internal_ref_bundles() for r in b.block_refs]
     r_refs = [r for b in keys_m.iter_internal_ref_bundles() for r in b.block_refs]
     maps_l = [
@@ -269,10 +272,14 @@ def lookup_join(
     crashed on zero-column empty partitions, ADVICE r4) is gone.
     Output columns: ``ds``'s columns ⊕ ``value_cols``.
     """
-    _check_key_types(ds, key_col, dim_ds, dim_key)
     cap = BROADCAST_KEY_CAP if cap is None else cap
     dim_head = _collect(dim_ds.select_columns([dim_key, *value_cols]).limit(cap + 1))
-    out_cols = list(ds.schema().names) + list(value_cols)
+    ds_schema = ds.schema()
+    _check_families(
+        key_col, _key_type(ds_schema, key_col),
+        dim_key, _key_type(dim_head.schema, dim_key),
+    )
+    out_cols = list(ds_schema.names) + list(value_cols)
 
     def local_join(dim_getter):
         def enrich(t: pa.Table, _cache={}) -> pa.Table:

@@ -4312,37 +4312,47 @@ _INCDEDUP_SCHEMA = pa.schema(
 )
 
 
-@ray.remote
-def _inc_map(group: tuple, ranges: int, cols: tuple) -> tuple:
-    """Per content-hash range, for ``group`` = (is_new, paths): a base
-    group's (h1, h2) identity-pair arrays (payloads are read in-task and
-    never enter the object store), or a new group's ``cols`` rows with
-    (__h1, __h2) identity columns appended."""
+def _inc_read_hashed(paths: list, cols: list) -> tuple:
+    """``cols`` of each file in ``paths`` (schema metadata stripped), the
+    rows' (h1, h2) content identity, and the stable h1 sort order."""
     import pyarrow.parquet as pq
 
-    is_new, paths = group
-    read_cols = list(dict.fromkeys([*cols, "tokens"])) if is_new else ["tokens"]
     tables = [
-        pq.read_table(p, columns=read_cols).replace_schema_metadata(None)
-        for p in paths
+        pq.read_table(p, columns=cols).replace_schema_metadata(None) for p in paths
     ]
     h1, h2 = [], []
     for t in tables:
         offs, vals = _tokens_parts(t.column("tokens"))
         h1.append(_content_hash(offs, vals))
         h2.append(_content_hash(offs, vals, tweak=_INC_TWEAK))
-    h1, h2 = np.concatenate(h1), np.concatenate(h2)
-    order = np.argsort(h1, kind="stable")
+    h1 = np.concatenate(h1)
+    return tables, h1, np.concatenate(h2), np.argsort(h1, kind="stable")
+
+
+@ray.remote
+def _inc_map_base(paths: list, ranges: int) -> tuple:
+    """Per content-hash range: (h1, h2) identity-pair arrays for this base
+    fragment group (read in-task — base payloads never enter the object
+    store)."""
+    _, h1, h2, order = _inc_read_hashed(paths, ["tokens"])
     hs = h1[order]
-    if not is_new:
-        return tuple(exchange.split(hs, ranges, hs, h2[order]))
+    return tuple(exchange.split(hs, ranges, hs, h2[order]))
+
+
+@ray.remote
+def _inc_map_new(paths: list, ranges: int, cols: tuple) -> tuple:
+    """Per content-hash range: this new fragment group's ``cols`` rows with
+    (__h1, __h2) identity columns appended."""
+    tables, h1, h2, order = _inc_read_hashed(
+        paths, list(dict.fromkeys([*cols, "tokens"]))
+    )
     sel = (
         pa.concat_tables([t.select(list(cols)) for t in tables])
         .append_column("__h1", pa.array(h1.view(np.int64)))
         .append_column("__h2", pa.array(h2.view(np.int64)))
         .take(pa.array(order))
     )
-    return tuple(part for (part,) in exchange.split(hs, ranges, sel))
+    return tuple(part for (part,) in exchange.split(h1[order], ranges, sel))
 
 
 @ray.remote
@@ -4460,18 +4470,15 @@ def seq_incremental_dedup_files(
         ).map_batches(filt, batch_format="pyarrow")
     else:
         fpt = max(1, _cpu_files_per_task(max(len(files_base), len(files_new))))
-        groups_b = [
-            (False, files_base[i : i + fpt]) for i in range(0, len(files_base), fpt)
-        ]
-        groups_n = [
-            (True, files_new[i : i + fpt]) for i in range(0, len(files_new), fpt)
-        ]
-        # base groups first: the reduce reads the first len(groups_b)
+        groups_b = [files_base[i : i + fpt] for i in range(0, len(files_base), fpt)]
+        groups_n = [files_new[i : i + fpt] for i in range(0, len(files_new), fpt)]
+        ranges = exchange.range_count(ranges)
+        # base maps first: the reduce reads the first len(groups_b)
         # partials as the base identity set
-        out_refs = exchange.run(
-            _inc_map, groups_b + groups_n, _inc_reduce, exchange.range_count(ranges),
-            map_args=(out_cols,), reduce_args=(len(groups_b),),
-        )
+        mapped = exchange.map_ranges(
+            _inc_map_base, groups_b, ranges
+        ) + exchange.map_ranges(_inc_map_new, groups_n, ranges, out_cols)
+        out_refs = exchange.reduce_ranges(mapped, _inc_reduce, ranges, len(groups_b))
         admitted = rd.from_arrow_refs(out_refs)
     if payload:
         return admitted

@@ -21,14 +21,14 @@ efficiently, here):
 Scale notes (10^12 rows, 256 nodes): the reduce moves 8 bytes/row of hash +
 8 of count — ~2% of a token-corpus's bytes — and hash ranges give perfectly
 uniform partitioning regardless of doc_id skew (the salting the north rule
-asks for falls out of hashing). Steps 1–2 are a ``core.exchange.run``: above
-``exchange.FAN_IN`` map outputs it inserts the TWO-LEVEL reduce
-(fragment-wave partials → range partials via ``_combine_range``), so
-per-task ObjectRef counts stay at max(FAN_IN, n_waves) instead of
-O(fragments), byte-equal to the one-level path (totals are associative;
-pinned by test). The file-fed map stays below ``FAN_IN`` groups
-(``file_groups``); block-fed callers reach the wave level past
-FAN_IN × ``exchange.BLOCKS_PER_TASK`` blocks.
+asks for falls out of hashing). Steps 1–2 are one ``core.exchange.run``
+level: the file-fed map stays below 128 groups (``file_groups``), and a
+block-fed input runs one map per ``exchange.BLOCKS_PER_TASK`` blocks.
+``_combine_range`` is the middle level of a TWO-LEVEL reduce
+(fragment-wave partials → range partials, so per-task ObjectRef counts
+stay at max(wave, n_waves) instead of O(fragments)); it is byte-equal to
+the one-level path (totals are associative; pinned by test) but is not
+routed in until a many-shard workload shows it pays.
 The recover pass assumes |duplicates| ≪ |corpus| (training-data QA regime).
 
 Reference analog: cross-row segment dedupe via in-memory ``seen`` set
@@ -103,8 +103,9 @@ def _merge_counts(parts) -> tuple:
 
 @ray.remote
 def _combine_range(*parts) -> tuple:
-    """Wave-level combine for one hash range: ONE sorted, deduplicated
-    (hash, count) pair WITHOUT the ≥2 filter."""
+    """Wave-level combine for one hash range (the module docstring's
+    two-level reduce): ONE sorted, deduplicated (hash, count) pair WITHOUT
+    the ≥2 filter."""
     return _merge_counts(parts)
 
 
@@ -242,7 +243,7 @@ def find_duplicates(
     groups = file_groups(files, ranges)
     dup_refs = exchange.run(
         _map_fragment, groups, _reduce_range, ranges,
-        reduce_args=(None,), combine=_combine_range,
+        reduce_args=(None,),
     )
     dup_hashes = np.sort(np.concatenate(ray.get(dup_refs)))
     if dup_hashes.size == 0:
@@ -362,7 +363,7 @@ def find_dup_hash_values(
     reduced = ray.get(
         exchange.run(
             _map_hash_blocks, groups, _reduce_range, exchange.range_count(ranges),
-            map_args=(col,), reduce_args=(max_count,), combine=_combine_range,
+            map_args=(col,), reduce_args=(max_count,),
         )
     )
     return np.concatenate(reduced).view(np.int64)

@@ -1,7 +1,7 @@
 """``core.exchange``: the shared hash-range exchange and its ported users.
 
 Pins the primitive's edge cases (range-count bounds, split edges, block
-fetch) and, for every operator routed through ``exchange.run``, that the
+fetch) and, for every operator routed through the exchange, that the
 output does not depend on the range count (2 vs 37 ranges)."""
 
 import glob

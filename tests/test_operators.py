@@ -181,12 +181,13 @@ def test_dupfinder_matches_dataset_groupby(ray_session, tmp_path):
 
 
 def test_dupfinder_two_level_reduce_byte_equal(ray_session, tmp_path, monkeypatch):
-    """Two-level reduce (fragment-wave partials → range partials, taken
-    above ``exchange.FAN_IN`` map outputs): byte-equal to the one-level path
-    for both the file-fed count reduce and the block-fed hash-value reduce,
-    including the max_count hot-key drop. FAN_IN=1 forces a combine for
-    EVERY map output (the degenerate worst case); 16 fragments ≫ FAN_IN
+    """Two-level reduce (fragment-wave partials → range partials via
+    ``dupfinder._combine_range``): byte-equal to the one-level exchange for
+    both the file-fed count reduce and the block-fed hash-value reduce,
+    including the max_count hot-key drop. Waves of 1 combine EVERY map
+    output (the degenerate worst case); 16 map outputs ≫ wave sizes
     exercises multi-wave merging."""
+    import ray
     import ray.data as rd
 
     from product_quality_check_ray.core import exchange
@@ -196,20 +197,41 @@ def test_dupfinder_two_level_reduce_byte_equal(ray_session, tmp_path, monkeypatc
 
     seq = write_sequences(str(tmp_path / "seq"), 4000, seed=11, num_fragments=16)
     files = input_fragments(seq)
-    one = dupfinder.find_duplicates(files, range_pruning=False)
-    assert len(one) > 0
-    ds = rd.read_parquet(files, columns=["n_tok"]).materialize()
-    base = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok"))
-    assert base.size > 0
-    capped = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok", max_count=3))
-    for fan_in in (1, 3):
-        monkeypatch.setattr(exchange, "FAN_IN", fan_in)
-        monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 1)
-        assert dupfinder.find_duplicates(files, range_pruning=False) == one
-        two = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok"))
-        assert np.array_equal(base, two)
-        capped2 = np.sort(dupfinder.find_dup_hash_values(ds, "n_tok", max_count=3))
-        assert np.array_equal(capped, capped2)
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 1)
+    block_groups = exchange.block_groups(
+        rd.read_parquet(files, columns=["n_tok"]).materialize()
+    )
+    assert len(block_groups) > 3
+    ranges = 8
+    cases = [
+        (dupfinder._map_fragment, [[f] for f in files], (), None),
+        (dupfinder._map_hash_blocks, block_groups, ("n_tok",), None),
+        (dupfinder._map_hash_blocks, block_groups, ("n_tok",), 3),
+    ]
+    for map_task, inputs, map_args, max_count in cases:
+        mapped = exchange.map_ranges(map_task, inputs, ranges, *map_args)
+        one = np.concatenate(
+            ray.get(
+                exchange.reduce_ranges(mapped, dupfinder._reduce_range, ranges, max_count)
+            )
+        )
+        assert one.size > 0
+        for wave in (1, 3):
+            combined = [
+                [
+                    dupfinder._combine_range.remote(*[m[r] for m in mapped[i : i + wave]])
+                    for r in range(ranges)
+                ]
+                for i in range(0, len(mapped), wave)
+            ]
+            two = np.concatenate(
+                ray.get(
+                    exchange.reduce_ranges(
+                        combined, dupfinder._reduce_range, ranges, max_count
+                    )
+                )
+            )
+            assert one.dtype == two.dtype and np.array_equal(one, two)
 
 
 def test_multimodal_stub_contract(fixture_dir):
@@ -691,9 +713,9 @@ def test_lookup_join_tiny_dim_cap0(ray_session):
 
 @pytest.mark.parametrize("cap", [0, None])
 def test_join_key_type_families_must_agree(ray_session, cap):
-    """Integer keys against string keys raise at entry on every path (the
-    exchange paths hash each family differently, so they used to return a
-    silently empty match set); int32 against int64 still joins."""
+    """Integer keys against string keys raise on every path (the exchange
+    paths hash each family differently, so they used to return a silently
+    empty match set); int32 against int64 still joins."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -709,6 +731,11 @@ def test_join_key_type_families_must_agree(ray_session, cap):
             semi_join(facts, "k", str_keys, "k", anti=anti, cap=cap)
     with pytest.raises(TypeError, match="int64.*string"):
         lookup_join(facts, "k", str_dim, "dk", ["name"], cap=cap)
+    # a ds whose schema is unknown until it runs: the broadcast path checks
+    # per batch (Ray Data wraps the TypeError), the exchange path at entry
+    lazy = facts.map_batches(lambda t: t, batch_format="pyarrow")
+    with pytest.raises(Exception, match="join key types disagree.*int64.*string"):
+        semi_join(lazy, "k", str_keys, "k", cap=cap).materialize()
 
     keys32 = rd.from_arrow(pa.table({"k": pa.array([1, 2], type=pa.int32())}))
     dim32 = rd.from_arrow(
