@@ -98,7 +98,9 @@ def map_ranges(map_task, inputs: list, ranges: int, *args) -> list:
     """``map_task(input, ranges, *args)`` per input, with
     ``num_returns=ranges``: one list of per-range partial refs per input."""
     assert ranges >= 2
-    return [map_task.options(num_returns=ranges).remote(x, ranges, *args) for x in inputs]
+    return [
+        map_task.options(num_returns=ranges).remote(x, ranges, *args) for x in inputs
+    ]
 
 
 def reduce_ranges(mapped: list, reduce_task, ranges: int, *args) -> list:
@@ -106,7 +108,9 @@ def reduce_ranges(mapped: list, reduce_task, ranges: int, *args) -> list:
     ``parts`` holds the range's partial from each map in ``mapped`` order.
     The refs (not the data) are routed, so Ray dereferences them
     worker-side."""
-    return [reduce_task.remote(*args, *[m[r] for m in mapped]) for r in range(ranges)]
+    return [
+        reduce_task.remote(*args, *[m[r] for m in mapped]) for r in range(ranges)
+    ]
 
 
 def run(
