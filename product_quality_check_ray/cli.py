@@ -3,9 +3,10 @@
 Designed for ``ray job submit -- python -m product_quality_check_ray
 validate --input <dir> --out <dir> [--config cfg.json]`` on a cluster; in
 the sandbox it runs against a local Ray. The config file (JSON) carries the
-reference's parameter surface (allowlist dimension rows, vocab, enabled
-checks, thresholds, wave sizing) — the analog of its sliders/dropdowns
-(``app.py:453-532``) as declarative job config.
+reference's parameter surface (allowlist dimension rows with their per-source
+caps, enabled and warn checks, schema repair, uniqueness, wave sizing) — the
+analog of its sliders/dropdowns (``app.py:453-532``) as declarative job
+config; an unknown key is an error.
 """
 
 from __future__ import annotations
@@ -29,11 +30,23 @@ def _init_ray(num_cpus: int | None) -> None:
     DataContext.get_current().enable_progress_bars = False
 
 
+# every key ``validate --config`` reads; any other key fails the job
+_VALIDATE_CONFIG_KEYS = frozenset(
+    {"allowlist", "wave_files", "uniqueness", "enabled_checks", "warn_checks", "schema_repair"}
+)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = {}
     if args.config:
         with open(args.config) as f:
             cfg = json.load(f)
+        unknown = sorted(set(cfg) - _VALIDATE_CONFIG_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown validate config keys {unknown} in {args.config}; "
+                f"known keys: {sorted(_VALIDATE_CONFIG_KEYS)}"
+            )
     _init_ray(args.num_cpus)
     from .pipelines.validate import run_validation
     from .sources.dimensions import load_reference_histograms
@@ -98,7 +111,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             allowlist_rows=cfg.get("allowlist"),
             resume=not args.no_resume,
             wave_files=cfg.get("wave_files", 128),
-            batch_size=cfg.get("batch_size"),
             write_violations=not args.no_violations,
             uniqueness=cfg.get("uniqueness", True),
             enabled_checks=cfg.get("enabled_checks"),

@@ -886,8 +886,7 @@ def multimodal_jpeg(sf_dir: str) -> rd.Dataset:
 
     Task functions, not an actor pool: the probe holds no state and the
     codec is pure numpy (measured 0.16 s per 100 images), so the
-    multi-second actor-pool startup would dominate the wall (the
-    `_row_check_task` pattern — verify-skill gotcha #4)."""
+    multi-second actor-pool startup would dominate the wall."""
     media = media_jpeg_dataset(sf_dir)
 
     def probe(t: pa.Table, _cache={}) -> pa.Table:

@@ -163,9 +163,9 @@ _TASK_STAGE_CACHE: dict = {}
 
 def _stage_task(cls):
     """Run a tiny-state stage class as TASKS with a per-worker instance
-    cache (the validate._row_check_task pattern): Ray reuses worker
-    processes, so the check ctx builds once per worker — and tasks use all
-    cores immediately, where a small actor pool ramps too slowly.
+    cache: Ray reuses worker processes, so the check ctx builds once per
+    worker — and tasks use all cores immediately, where a small actor pool
+    ramps too slowly.
 
     CONTRACT: ``cls`` must be no-arg and stateless-per-run (ctx built from
     module constants only). The cache is keyed by class name and never
@@ -192,8 +192,8 @@ def seq_sampled_check_counts(sf_dir: str) -> pa.Table:
     from zero-copy value-buffer slices and non-sampled rows never reach the
     check kernels."""
     # the md5 sampling key is per-row CPU work; run the stage as TASKS with
-    # a per-worker stage cache (the validate._row_check_task pattern) — an
-    # actor pool here ramped too slowly to use the cores and the original
+    # a per-worker stage cache (``_stage_task``) — an actor pool here
+    # ramped too slowly to use the cores and the original
     # (1, 4) cap serialized the scan (measured 7.4-8 s at sf0.1 / 32 CPUs
     # vs 2.6 s as tasks; state is one tiny check ctx, free to rebuild)
     partial = _seq_ds(sf_dir).map_batches(

@@ -2,13 +2,15 @@
 
 Dataflow (SURVEY.md §3.1 "our engine's equivalent plan")::
 
-    read_parquet(fragments, include_paths)            # blocks = Arrow tables
-      └ map_batches(_row_check_task)                  # ONE fused pass:
+    waves of fragments → one plain task per file group (dupfinder.file_groups)
+      └ RowCheckStage.check_fragment(path)              # ONE fused pass:
+           • each fragment read once, batch by batch (ParquetFile.iter_batches)
            • schema conformance + all row checks (vectorized, zero-copy)
            • violation rows → partition-local parquet (side sink, no shuffle)
-           • per-(partition, source) partials: counts, n_tok histogram,
-             t-digest + HLL sketch bytes     ← the ONLY data leaving the stage
-      └ driver merge of tiny partials → per-partition lineage + verdicts
+           • per-(fragment, source) partial: counts, n_tok histogram,
+             exact n_tok value counts → one t-digest, HLL sketch bytes
+                                              ← the ONLY data leaving the task
+      └ driver: one partial per (fragment, source) → per-partition lineage
     uniqueness phase: doc_id-only reads → hash-range tree reduce
       (state/dupfinder) → dup set → broadcast to one plain task per file
       group → only the row groups holding duplicates are read in full
@@ -16,7 +18,11 @@ Dataflow (SURVEY.md §3.1 "our engine's equivalent plan")::
 
 Scale notes (100 TB / 256 nodes):
 - The full-row pass never shuffles: token payloads stay inside their input
-  partition; only O(batches × sources) partial rows (a few KB each) move.
+  fragment's task; only O(fragments × sources) partials (a few KB each)
+  move, and a worker holds one read batch at a time, not a whole fragment.
+- A partition's partial is a function of its fragment's rows only — not of
+  the batching, the wave size or the file grouping — so a resumed report
+  equals a cold one in every field, quantiles included.
 - The uniqueness reduce ships ONLY (hash, count) pairs — never tokens
   (SURVEY.md §7.4) — and hash ranges spread the key volume evenly whatever
   the doc_id skew; the final dup set is tiny.
@@ -41,7 +47,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -50,14 +56,6 @@ import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
-
-# pre-resolve lazy imports that Ray's read path triggers; two Datasets
-# planned concurrently (row-check wave + uniqueness thread) otherwise race
-# the module import and fail with a partially-initialized fsspec
-try:  # pragma: no cover
-    import fsspec.implementations.http  # noqa: F401
-except Exception:
-    pass
 
 from ..checks.drift import drift_verdicts
 from ..checks.row_checks import ROW_CHECK_NAMES, annotate_batch, conform_schema
@@ -102,11 +100,11 @@ def _phase_log(name: str, t0: float) -> None:
 
 
 class RowCheckStage:
-    """Fused row checks + violation side-sink + partials, called on a table
-    with a ``path`` column.
+    """Fused row checks + violation side-sink + per-(fragment, source)
+    partials.
 
-    Dimension state (allowlist, caps, vocab) is built ONCE per worker in
-    ``__init__`` (see ``_row_check_task``) — the Ray-native version of the
+    Dimension state (allowlist, caps, vocab) is built in ``__init__``, once
+    per file-group task (``_check_group``) — the Ray-native version of the
     reference's module-global dictionary indexes (``banningredients.py:25``).
     """
 
@@ -115,11 +113,10 @@ class RowCheckStage:
         allowlist_rows: list[dict] | None = None,
         out_dir: str | None = None,
         write_violations: bool = True,
-        sketch_delta: int = 100,
         enabled_checks: list[str] | None = None,
         write_clean: bool = False,
         schema_repair: bool = False,
-        prescreen_ref: Any = None,
+        prescreen: "dict[str, frozenset] | None" = None,
         warn_checks: list[str] | None = None,
     ):
         self.ctx = build_check_ctx(
@@ -131,33 +128,29 @@ class RowCheckStage:
         self.out_dir = out_dir
         self.write_violations = write_violations and out_dir is not None
         self.write_clean = write_clean and out_dir is not None
-        self.sketch_delta = sketch_delta
-        # footer-statistics prescreen: {full path: frozenset of check names
-        # PROVEN clean for that fragment} — shipped once per worker as an
-        # object-store ref (broadcast, not per-batch kwargs)
-        self.prescreen: dict[str, frozenset] = {}
-        if prescreen_ref is not None:
-            self.prescreen = ray.get(prescreen_ref)
+        # footer-statistics prescreen: {absolute path: frozenset of check
+        # names PROVEN clean for that fragment}
+        self.prescreen = prescreen or {}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        paths = batch.column("path")
-        data = batch.drop_columns(["path"])
-        # a block almost always comes from ONE file: skip the equal+filter
-        # there — the filter copies the whole token payload per batch and
-        # was the stage's single biggest non-kernel cost when profiled
-        uniq = pc.unique(paths)
-        if len(uniq) == 1:
-            out_rows = self._process_group(uniq[0].as_py(), data)
-        else:
-            out_rows = []
-            for path in uniq.to_pylist():
-                sel = data.filter(pc.equal(paths, path))
-                out_rows.extend(self._process_group(path, sel))
-        return pa.Table.from_pylist(out_rows, schema=_PARTIAL_SCHEMA)
+    def __call__(self, batch: pa.Table) -> dict[str, dict]:
+        """Partials of one fragment's rows, given as a table with a ``path``
+        column (the entry for replaying the stage without Ray)."""
+        paths = pc.unique(batch.column("path")).to_pylist()
+        if len(paths) > 1:
+            raise ValueError(f"RowCheckStage takes one fragment's rows, got {len(paths)} paths")
+        return self._check(paths[0], [batch.drop_columns(["path"])]) if paths else {}
 
-    def _process_group(self, path: str, t: pa.Table) -> list[dict]:
+    def check_fragment(self, path: str) -> dict[str, dict]:
+        """Check one fragment, read once in pyarrow's default batches."""
+        return self._check(path, pq.ParquetFile(path).iter_batches())
+
+    def _check(self, path: str, batches: Iterable) -> dict[str, dict]:
+        """{source: lineage per-source entry} for one fragment. Every field
+        adds up exactly across batches, and the t-digest is built once from
+        the fragment's exact n_tok value counts, so the result depends on
+        the fragment's rows only, not on how they were batched."""
         ctx = self.ctx
-        proven = self.prescreen.get(os.path.abspath(path)) if self.prescreen else None
+        proven = self.prescreen.get(os.path.abspath(path))
         if proven:
             # drop footer-proven checks for this fragment; proofs are SOUND
             # (a proven check cannot fire on any row here), so the output is
@@ -166,11 +159,16 @@ class RowCheckStage:
             base_set = set(ROW_CHECK_NAMES) if base is None else set(base)
             ctx = dict(ctx)
             ctx["enabled_checks"] = frozenset(base_set - proven)
+        pid = lin.part_id_for(path)
+        acc: dict[str, dict] = {}
+        for b in batches:
+            self._check_batch(pid, pa.table(b), ctx, acc)
+        return {s: _finish_partial(acc[s]) for s in sorted(acc)}
+
+    def _check_batch(self, pid: str, t: pa.Table, ctx: dict, acc: dict) -> None:
         annotated, mat = annotate_batch(t, ctx)
         ok = np.asarray(annotated.column("ok").to_numpy(zero_copy_only=False), dtype=bool)
-        pid = lin.part_id_for(path)
-        n_viol = int((~ok).sum())
-        if n_viol and self.write_violations:
+        if self.write_violations and not ok.all():
             viol = annotated.filter(pa.array(~ok))
             _sink_write(lin.violations_dir(self.out_dir, pid), "rc", pid, viol)
         if self.write_clean:
@@ -182,85 +180,81 @@ class RowCheckStage:
             if clean.num_rows:
                 _sink_write(lin.clean_dir(self.out_dir, pid), "ok", pid, clean)
 
-        src = annotated.column("source").to_pandas()
-        src_filled = src.fillna("\x00null")
+        src = annotated.column("source").to_pandas().fillna("\x00null")
         n_tok = np.asarray(
             pc.fill_null(annotated.column("n_tok"), -1).to_numpy(zero_copy_only=False),
             dtype=np.int64,
         )
         doc_ids = annotated.column("doc_id")
-        rows_out = []
-        for s, idx in src_filled.groupby(src_filled).groups.items():
+        for s, idx in src.groupby(src).groups.items():
             ii = np.asarray(idx)
-            nt = n_tok[ii]
-            valid = nt >= 0
-            ntv = nt[valid]
-            hist = np.bincount(
+            if s not in acc:
+                acc[s] = _new_partial()
+            a = acc[s]
+            ntv = n_tok[ii]
+            ntv = ntv[ntv >= 0]
+            a["rows"] += len(ii)
+            a["ok_rows"] += int(ok[ii].sum())
+            a["counts"] += mat[ii].sum(axis=0)
+            a["hist"] += np.bincount(
                 np.minimum(ntv // HIST_BIN_WIDTH, HIST_NUM_BINS),
                 minlength=HIST_NUM_BINS + 1,
-            ).astype(np.int64)
-            # n_tok domain is small-integer: feed the digest weighted uniques
-            # so add/compress cost is O(distinct values), not O(rows)
-            uv, uc = np.unique(ntv, return_counts=True)
-            td = TDigest(self.sketch_delta).add(uv.astype(np.float64), uc.astype(np.float64))
-            ids = doc_ids.take(pa.array(ii)).combine_chunks()
-            hll = HyperLogLog()
-            if len(ids) - ids.null_count > 0:
-                hll.add_strings(ids.drop_null())
-            counts = mat[ii].sum(axis=0)
-            rows_out.append(
-                {
-                    "path": path,
-                    "source": None if s == "\x00null" else s,
-                    "rows": int(len(ii)),
-                    "ok_rows": int(ok[ii].sum()),
-                    "viol_rows": int((~ok[ii]).sum()),
-                    **{f"c_{n}": int(counts[j]) for j, n in enumerate(ROW_CHECK_NAMES)},
-                    "hist": hist.tolist(),
-                    "sum_n_tok": int(ntv.sum()),
-                    "min_n_tok": int(ntv.min()) if ntv.size else _SENTINEL_MIN,
-                    "max_n_tok": int(ntv.max()) if ntv.size else -1,
-                    "td": td.to_bytes(),
-                    "hll": hll.to_bytes(),
-                }
             )
-        return rows_out
+            if ntv.size:
+                a["sum_n_tok"] += int(ntv.sum())
+                a["min_n_tok"] = min(a["min_n_tok"], int(ntv.min()))
+                a["max_n_tok"] = max(a["max_n_tok"], int(ntv.max()))
+                # n_tok's domain is small-integer: keep exact value counts,
+                # so the digest costs O(distinct values), not O(rows)
+                uv, uc = np.unique(ntv, return_counts=True)
+                a["values"], inv = np.unique(
+                    np.concatenate([a["values"], uv]), return_inverse=True
+                )
+                a["weights"] = np.bincount(
+                    inv, weights=np.concatenate([a["weights"], uc])
+                )
+            ids = doc_ids.take(pa.array(ii)).combine_chunks().drop_null()
+            if len(ids):
+                a["hll"].add_strings(ids)
 
 
-# per-worker-process stage cache for the task-based path: Ray reuses worker
-# processes across map_batches tasks, so the stage (dimension index, compiled
-# state) is built once per worker — same amortization as an actor pool, but
-# on the pre-warmed default pool (no per-stage actor startup latency)
-_STAGE_CACHE: dict[str, RowCheckStage] = {}
+def _new_partial() -> dict:
+    return {
+        "rows": 0,
+        "ok_rows": 0,
+        "counts": np.zeros(len(ROW_CHECK_NAMES), dtype=np.int64),
+        "hist": np.zeros(HIST_NUM_BINS + 1, dtype=np.int64),
+        "sum_n_tok": 0,
+        "min_n_tok": _SENTINEL_MIN,
+        "max_n_tok": -1,
+        "values": np.empty(0, dtype=np.int64),
+        "weights": np.empty(0, dtype=np.float64),
+        "hll": HyperLogLog(),
+    }
 
 
-def _row_check_task(batch: pa.Table, **stage_kwargs) -> pa.Table:
-    import json
+def _finish_partial(a: dict) -> dict:
+    """A running partial as its lineage per-source entry."""
+    td = TDigest().add(a["values"].astype(np.float64), a["weights"])
+    return {
+        "rows": a["rows"],
+        "ok_rows": a["ok_rows"],
+        "viol_rows": a["rows"] - a["ok_rows"],
+        "check_counts": {n: int(c) for n, c in zip(ROW_CHECK_NAMES, a["counts"])},
+        "hist": a["hist"].tolist(),
+        "sum_n_tok": a["sum_n_tok"],
+        "min_n_tok": a["min_n_tok"],
+        "max_n_tok": a["max_n_tok"],
+        "td": lin.b64(td.to_bytes()),
+        "hll": lin.b64(a["hll"].to_bytes()),
+    }
 
-    key = json.dumps(stage_kwargs, sort_keys=True, default=str)
-    stage = _STAGE_CACHE.get(key)
-    if stage is None:
-        _STAGE_CACHE.clear()
-        stage = _STAGE_CACHE[key] = RowCheckStage(**stage_kwargs)
-    return stage(batch)
 
-
-_PARTIAL_SCHEMA = pa.schema(
-    [
-        ("path", pa.string()),
-        ("source", pa.string()),
-        ("rows", pa.int64()),
-        ("ok_rows", pa.int64()),
-        ("viol_rows", pa.int64()),
-        *[(f"c_{n}", pa.int64()) for n in ROW_CHECK_NAMES],
-        ("hist", pa.list_(pa.int64())),
-        ("sum_n_tok", pa.int64()),
-        ("min_n_tok", pa.int64()),
-        ("max_n_tok", pa.int64()),
-        ("td", pa.binary()),
-        ("hll", pa.binary()),
-    ]
-)
+@ray.remote
+def _check_group(paths: list[str], **stage_kwargs) -> dict[str, dict]:
+    """Row-check one file group with one stage: {path: per-source partials}."""
+    stage = RowCheckStage(**stage_kwargs)
+    return {p: stage.check_fragment(p) for p in paths}
 
 
 @dataclass
@@ -323,7 +317,6 @@ def run_validation(
     allowlist_rows: list[dict] | None = None,
     resume: bool = True,
     wave_files: int = 128,
-    batch_size: int | None = None,
     write_violations: bool = True,
     uniqueness: bool = True,
     enabled_checks: list[str] | None = None,
@@ -369,14 +362,13 @@ def run_validation(
     make THIS corpus the reference for the next run, closing the
     corpus-evolution loop (CLI: ``--ref-hist`` / ``--export-hist``).
 
-    The fused row checks run as tasks on Ray's shared worker pool with a
-    per-worker stage cache — measured faster than a dedicated actor pool
-    because the stage state is tiny and actor startup dominated wave
-    latency.
-
-    ``batch_size=None`` processes whole read blocks zero-copy (no re-slice);
-    the vectorized kernel is size-insensitive, and input fragments bound the
-    block size. Set an explicit batch size only if fragments are huge.
+    The fused row checks run as one plain task per file group
+    (``dupfinder.file_groups``, the duplicate phase's grouping), each with
+    one ``RowCheckStage`` that reads every fragment of its group once, in
+    pyarrow's default read batches; a worker holds one batch at a time.
+    Each (fragment, source) partial depends only on the fragment's rows, so
+    reports and violation sinks are identical at any ``wave_files`` and
+    across resumes.
     """
     files = input_fragments(input_path)
     if not files:
@@ -426,15 +418,13 @@ def run_validation(
         if viol_so_far > fail_fast_violations:
             raise FailFastExceeded(viol_so_far, fail_fast_violations, parts_done)
 
-    prescreen_ref = None
+    proven_map: dict[str, frozenset] = {}
     if prescreen and todo:
         from .tokens import _PRESCREEN_CHECKS, stats_prescreen_files
 
         t0 = time.time()
         scan = stats_prescreen_files(todo, allowlist_rows=allow)
-        # keys normalized to absolute paths: Ray's include_paths yields
-        # resolved paths, so a RELATIVE input_path would otherwise never
-        # match and the footer scan would be paid for zero benefit
+        # keyed by absolute path, as the stage looks fragments up
         proven_map = {
             os.path.abspath(p): frozenset(
                 name[len("prove_") :]
@@ -444,29 +434,26 @@ def run_validation(
             for p, (_, flags) in scan.items()
         }
         proven_map = {p: s for p, s in proven_map.items() if s}
-        prescreen_ref = ray.put(proven_map)
         _phase_log(f"stats prescreen ({len(proven_map)} provable fragments)", t0)
 
+    stage_kwargs = {
+        "allowlist_rows": allow,
+        "out_dir": out_dir,
+        "write_violations": write_violations,
+        "enabled_checks": enabled_checks,
+        "write_clean": write_clean,
+        "schema_repair": schema_repair,
+        # shipped once to the object store, not once per task
+        "prescreen": ray.put(proven_map) if proven_map else None,
+        "warn_checks": warn_checks,
+    }
     for wave in _chunks(todo, max(1, wave_files)):
         t0 = time.time()
-        ds = rd.read_parquet(wave, include_paths=True)
-        stage_kwargs = {
-            "allowlist_rows": allow,
-            "out_dir": out_dir,
-            "write_violations": write_violations,
-            "enabled_checks": enabled_checks,
-            "write_clean": write_clean,
-            "schema_repair": schema_repair,
-            "prescreen_ref": prescreen_ref,
-            "warn_checks": warn_checks,
-        }
-        staged = ds.map_batches(
-            _row_check_task,
-            fn_kwargs=stage_kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-        partials = staged.take_all()
+        partials: dict[str, dict] = {}
+        for r in ray.get(
+            [_check_group.remote(g, **stage_kwargs) for g in dupfinder.file_groups(wave)]
+        ):
+            partials.update(r)
         _phase_log(f"rowcheck wave({len(wave)} files)", t0)
         t1 = time.time()
         wave_viol, wave_parts = _publish_wave(
@@ -563,54 +550,22 @@ def _config_digest(
 def _publish_wave(
     out_dir: str,
     wave: list[str],
-    partials: list[dict],
+    partials: dict[str, dict],
     wall_s: float,
     config_digest: "str | None" = None,
 ) -> tuple[int, int]:
-    """Publish lineage for every fully-covered partition of this wave;
-    returns (published violation rows, published partitions) so the caller
-    can enforce a fail-fast budget."""
-    by_pid: dict[str, list[dict]] = {}
-    for r in partials:
-        by_pid.setdefault(lin.part_id_for(r["path"]), []).append(r)
+    """Publish lineage for every fully-covered partition of this wave from
+    its one partial per source; returns (published violation rows,
+    published partitions) so the caller can enforce a fail-fast budget."""
     pub_viol = pub_parts = 0
-    expected = {lin.part_id_for(f): (f, pq.read_metadata(f).num_rows) for f in wave}
-    for pid, (fpath, file_rows) in expected.items():
-        rows = by_pid.get(pid, [])
-        processed = sum(r["rows"] for r in rows)
+    for fpath in wave:
+        per_source = partials.get(fpath, {})
+        file_rows = pq.read_metadata(fpath).num_rows
+        processed = sum(a["rows"] for a in per_source.values())
         if processed != file_rows:
             # incomplete coverage — do not publish lineage; rerun will redo it
             continue
-        per_source: dict[str, dict] = {}
-        # deterministic merge order for sketches (SURVEY.md §7.4)
-        for r in sorted(rows, key=lambda r: (r["source"] or "", r["rows"], r["sum_n_tok"], r["td"])):
-            s = r["source"] if r["source"] is not None else "\x00null"
-            agg = per_source.setdefault(
-                s,
-                {
-                    "rows": 0,
-                    "ok_rows": 0,
-                    "viol_rows": 0,
-                    "check_counts": {n: 0 for n in ROW_CHECK_NAMES},
-                    "hist": np.zeros(HIST_NUM_BINS + 1, dtype=np.int64),
-                    "sum_n_tok": 0,
-                    "min_n_tok": _SENTINEL_MIN,
-                    "max_n_tok": -1,
-                    "_td": TDigest(),
-                    "_hll": HyperLogLog(),
-                },
-            )
-            agg["rows"] += r["rows"]
-            agg["ok_rows"] += r["ok_rows"]
-            agg["viol_rows"] += r["viol_rows"]
-            for n in ROW_CHECK_NAMES:
-                agg["check_counts"][n] += r[f"c_{n}"]
-            agg["hist"] += np.asarray(r["hist"], dtype=np.int64)
-            agg["sum_n_tok"] += r["sum_n_tok"]
-            agg["min_n_tok"] = min(agg["min_n_tok"], r["min_n_tok"])
-            agg["max_n_tok"] = max(agg["max_n_tok"], r["max_n_tok"])
-            agg["_td"].merge(TDigest.from_bytes(r["td"]))
-            agg["_hll"].merge(HyperLogLog.from_bytes(r["hll"]))
+        pid = lin.part_id_for(fpath)
         record = {
             "engine_version": lin.ENGINE_VERSION,
             "part_id": pid,
@@ -624,21 +579,7 @@ def _publish_wave(
                 n: sum(a["check_counts"][n] for a in per_source.values())
                 for n in ROW_CHECK_NAMES
             },
-            "per_source": {
-                s: {
-                    "rows": a["rows"],
-                    "ok_rows": a["ok_rows"],
-                    "viol_rows": a["viol_rows"],
-                    "check_counts": a["check_counts"],
-                    "hist": a["hist"].tolist(),
-                    "sum_n_tok": a["sum_n_tok"],
-                    "min_n_tok": a["min_n_tok"],
-                    "max_n_tok": a["max_n_tok"],
-                    "td": lin.b64(a["_td"].to_bytes()),
-                    "hll": lin.b64(a["_hll"].to_bytes()),
-                }
-                for s, a in per_source.items()
-            },
+            "per_source": per_source,
             "wall_s": round(wall_s, 3),
             "config_digest": config_digest,
         }

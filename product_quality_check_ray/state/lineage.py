@@ -25,7 +25,9 @@ import shutil
 import time
 from typing import Any
 
-ENGINE_VERSION = 1
+# stamped into every lineage record; a resume re-validates records of any
+# other version. 2: one t-digest per fragment (1 built one per Ray block)
+ENGINE_VERSION = 2
 
 
 def part_id_for(input_path: str) -> str:

@@ -5,14 +5,15 @@ the north rule requires t-digest quantiles on ``n_tok`` and HLL distinct
 counts on ``doc_id``/``source``. Both are implemented from their published
 papers (Dunning & Ertl, "Computing Extremely Accurate Quantiles Using
 t-Digests", 2019; Flajolet et al., "HyperLogLog", 2007) as numpy-vectorized,
-serializable, order-insensitively-mergeable partials: each `map_batches`
-actor emits one serialized sketch per batch, and a tiny driver-side reduce
-merges them (the pattern SURVEY.md §4.2 calls "sketch merge protocol").
+serializable, mergeable partials: each validate task emits one serialized
+sketch per (fragment, source), and a tiny driver-side reduce merges them (the
+pattern SURVEY.md §4.2 calls "sketch merge protocol").
 
 Determinism note (SURVEY.md §7.4): HLL merge is exactly order-insensitive
-(register-wise max). t-digest merges are deterministic given merge order; the
-pipeline sorts partials by (partition, block) before merging and tests assert
-quantile error bounds rather than exact equality.
+(register-wise max). t-digest merges are deterministic given merge order, not
+otherwise; validate therefore builds each fragment's digest once, from the
+fragment's exact value counts, and merges the digests in partition-id order,
+so its quantiles are fixed by the fragments' rows.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -43,3 +44,41 @@ def small_corpus_table(small_corpus):
 
     files = sorted(glob.glob(os.path.join(small_corpus, "frag-*.parquet")))
     return pds.dataset(files).to_table()
+
+
+def _plain(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v
+
+
+def _report_fields(rep) -> dict:
+    """Every ``ValidationReport`` field, keyed by fragment name instead of
+    partition id, without the per-partition wall time (a timing)."""
+    parts = {
+        os.path.basename(p["input_path"]): {
+            k: v for k, v in p.items() if k not in ("input_path", "wall_s")
+        }
+        for p in rep.partitions.values()
+    }
+    return _plain(
+        {
+            "partitions": parts,
+            "per_source": rep.per_source,
+            "drift": rep.drift,
+            "duplicates": rep.duplicates,
+            "global_stats": rep.global_stats,
+            "observed_hists": rep.observed_hists,
+        }
+    )
+
+
+@pytest.fixture(scope="session")
+def report_fields():
+    """Compare two validation reports field by field: ``report_fields(a) ==
+    report_fields(b)``."""
+    return _report_fields

@@ -1344,3 +1344,20 @@ def test_cli_ingest_subcommand(tmp_path):
     assert r2.returncode == 2, r2.stderr[-2000:]
     line2 = _json.loads(r2.stdout.strip().splitlines()[-1])
     assert line2["admitted"] == 0 and line2["duplicates"] == 32
+
+
+def test_validate_config_rejects_unknown_keys(tmp_path):
+    """A config key the job does not read (such as the removed
+    ``batch_size``) fails before any work, naming every such key."""
+    import json
+
+    from product_quality_check_ray.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"wave_files": 4, "batch_size": 128, "sketch_delta": 50}))
+    with pytest.raises(ValueError, match=r"\['batch_size', 'sketch_delta'\]"):
+        main(
+            ["validate", "--input", str(tmp_path / "none"), "--out", str(tmp_path / "o"),
+             "--config", str(cfg)]
+        )
+    assert not (tmp_path / "o").exists()

@@ -1,0 +1,119 @@
+"""A validate partition's partial depends only on its fragment's rows: the
+report (quantiles included) and the violation sink are the same whatever
+the wave size, the row-group layout or the resume history."""
+
+import glob
+import hashlib
+import json
+import os
+import shutil
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from product_quality_check_ray.pipelines.validate import run_validation
+from product_quality_check_ray.state import lineage as lin
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """8000 rows in 32 fragments: enough rows per fragment that a block
+    split of the input could show in the t-digest quantiles."""
+    from product_quality_check_ray.datagen import write_sequences
+
+    return write_sequences(
+        str(tmp_path_factory.mktemp("det") / "seq"), 8000, seed=5, num_fragments=32
+    )
+
+
+def sink_files(out: str) -> dict[str, str]:
+    """{path under out_dir: sha1 of the bytes} of every violation file."""
+    return {
+        os.path.relpath(f, out): hashlib.sha1(open(f, "rb").read()).hexdigest()
+        for f in sorted(glob.glob(os.path.join(out, "violations", "part=*", "*.parquet")))
+    }
+
+
+def test_cold_equals_resumed_after_rewrite(
+    ray_session, corpus, tmp_path, report_fields
+):
+    seq = str(tmp_path / "seq")
+    shutil.copytree(corpus, seq)
+    out = str(tmp_path / "out")
+    run_validation(seq, out)
+    # same rows, new fingerprint: only this partition re-validates
+    frag = sorted(glob.glob(os.path.join(seq, "frag-*.parquet")))[5]
+    pq.write_table(pq.read_table(frag), frag)
+    resumed = run_validation(seq, out, resume=True)
+    cold = run_validation(seq, str(tmp_path / "cold"), resume=False)
+    assert resumed.global_stats["p50_n_tok"] == cold.global_stats["p50_n_tok"]
+    assert report_fields(resumed) == report_fields(cold)
+    assert sink_files(out) == sink_files(str(tmp_path / "cold"))
+
+
+def test_wave_files_identical_reports_and_sinks(
+    ray_session, corpus, tmp_path, report_fields
+):
+    outs = {w: str(tmp_path / f"w{w}") for w in (1, 8, 128)}
+    reps = {w: run_validation(corpus, o, resume=False, wave_files=w) for w, o in outs.items()}
+    sinks = {w: sink_files(o) for w, o in outs.items()}
+    assert sinks[1], "the fixture has violations"
+    for w in (8, 128):
+        assert report_fields(reps[w]) == report_fields(reps[1]), w
+        assert sinks[w] == sinks[1], w
+
+
+def test_row_group_layout_does_not_change_report(
+    ray_session, corpus, tmp_path, report_fields
+):
+    frags = sorted(glob.glob(os.path.join(corpus, "frag-*.parquet")))[:4]
+    t = pa.concat_tables([pq.read_table(f) for f in frags])
+    for name, rg in (("one", t.num_rows), ("tiny", 10)):
+        os.makedirs(tmp_path / name)
+        pq.write_table(t, str(tmp_path / name / "frag-00000.parquet"), row_group_size=rg)
+    assert pq.ParquetFile(str(tmp_path / "tiny" / "frag-00000.parquet")).num_row_groups > 1
+    one = run_validation(str(tmp_path / "one"), str(tmp_path / "o1"), resume=False)
+    tiny = run_validation(str(tmp_path / "tiny"), str(tmp_path / "o2"), resume=False)
+    assert report_fields(one) == report_fields(tiny)
+
+
+def test_empty_fragment_in_wave_publishes_lineage(ray_session, corpus, tmp_path):
+    seq = str(tmp_path / "seq")
+    os.makedirs(seq)
+    frags = sorted(glob.glob(os.path.join(corpus, "frag-*.parquet")))[:3]
+    for f in frags:
+        shutil.copy(f, seq)
+    empty = os.path.join(seq, "frag-00001.parquet")
+    pq.write_table(pq.read_table(empty).slice(0, 0), empty)
+    out = str(tmp_path / "out")
+    rep = run_validation(seq, out, wave_files=3)
+    rec = lin.read_lineage(out, lin.part_id_for(empty))
+    assert rec is not None
+    assert rec["file_rows"] == rec["processed_rows"] == 0
+    assert rec["per_source"] == {}
+    assert rep.partitions[lin.part_id_for(empty)]["pass"] is True
+    assert rep.total_rows == sum(pq.read_metadata(f).num_rows for f in frags[::2])
+
+
+def test_old_engine_version_lineage_is_revalidated(ray_session, corpus, tmp_path):
+    seq = str(tmp_path / "seq")
+    os.makedirs(seq)
+    frags = sorted(glob.glob(os.path.join(corpus, "frag-*.parquet")))[:2]
+    for f in frags:
+        shutil.copy(f, seq)
+    out = str(tmp_path / "out")
+    run_validation(seq, out, uniqueness=False)
+    stale, kept = (lin.part_id_for(os.path.join(seq, os.path.basename(f))) for f in frags)
+    p = lin.lineage_path(out, stale)
+    rec = json.load(open(p))
+    rec["engine_version"] = 1
+    rec["wall_s"] = -1.0  # a marker a re-validation overwrites
+    with open(p, "w") as f:
+        json.dump(rec, f)
+    mtime_kept = os.path.getmtime(lin.lineage_path(out, kept))
+    run_validation(seq, out, resume=True, uniqueness=False)
+    rec = lin.read_lineage(out, stale)
+    assert rec["engine_version"] == lin.ENGINE_VERSION == 2
+    assert rec["wall_s"] >= 0
+    assert os.path.getmtime(lin.lineage_path(out, kept)) == mtime_kept

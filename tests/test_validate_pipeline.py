@@ -119,14 +119,10 @@ def test_drift_flags_only_drifted_source(run):
 
 
 def test_parallelism_invariance(ray_session, small_corpus, tmp_path):
-    """Same verdicts at different batch sizes / wave sizes (partition-count
-    invariance, SURVEY.md §5 plan #5)."""
-    r1 = run_validation(
-        small_corpus, str(tmp_path / "a"), resume=False, wave_files=1, batch_size=128
-    )
-    r2 = run_validation(
-        small_corpus, str(tmp_path / "b"), resume=False, wave_files=8, batch_size=4096
-    )
+    """Same verdicts at different wave sizes (partition-count invariance,
+    SURVEY.md §5 plan #5)."""
+    r1 = run_validation(small_corpus, str(tmp_path / "a"), resume=False, wave_files=1)
+    r2 = run_validation(small_corpus, str(tmp_path / "b"), resume=False, wave_files=8)
     assert r1.check_counts() == r2.check_counts()
     assert r1.duplicates == r2.duplicates
     for src in r1.per_source:

@@ -9,6 +9,7 @@ Usage: python tools/check_queries.py [sf_dir] [name ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -104,9 +105,13 @@ def compare(name: str, mine: pd.DataFrame, oracle: pd.DataFrame) -> list[str]:
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
+    # grade the tree this script sits in, whatever the working directory:
+    # the driver imports it from sys.path, Ray workers inherit PYTHONPATH
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, root)
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False)
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as e
 
     qs = e.queries()
