@@ -418,30 +418,42 @@ def seq_drift_verdicts(sf_dir: str) -> pa.Table:
 def _sketch_partial(t: pa.Table) -> pa.Table:
     """Per-batch per-source sketch partials: t-digest over valid n_tok
     (null/negative excluded) + HLL over non-null doc_ids; null sources fold
-    to the ``\\x00null`` sentinel group."""
-    from ..state.sketches import HyperLogLog, TDigest
+    to the ``\\x00null`` sentinel group. One source encode, one n_tok
+    value count and one doc_id hash per batch (validate's
+    ``SourcePartials`` steps)."""
+    from ..state.sketches import HyperLogLog, TDigest, add_strings_grouped
+    from .validate import ntok_keys, source_codes
 
-    src = t.column("source").to_pandas().fillna("\x00null")
+    index: dict[str, int] = {}
+    code = source_codes(t.column("source"), index)
     n_tok = np.asarray(
         pc.fill_null(t.column("n_tok"), -1).to_numpy(zero_copy_only=False),
         dtype=np.int64,
     )
+    valid = n_tok >= 0
+    keys, counts = np.unique(ntok_keys(code[valid], n_tok[valid]), return_counts=True)
+    bounds = np.searchsorted(keys >> 32, np.arange(len(index) + 1))
+    values = (keys & 0xFFFFFFFF).astype(np.float64)
+    rows = np.bincount(code, minlength=len(index))
+    hll = np.zeros((len(index), HyperLogLog().m), dtype=np.uint8)
     doc_ids = t.column("doc_id")
-    rows = []
-    for s, idx in src.groupby(src).groups.items():
-        ii = np.asarray(idx)
-        ntv = n_tok[ii][n_tok[ii] >= 0]
-        uv, uc = np.unique(ntv, return_counts=True)
-        td = TDigest().add(uv.astype(np.float64), uc.astype(np.float64))
-        hll = HyperLogLog()
-        ids = doc_ids.take(pa.array(ii)).combine_chunks().drop_null()
-        if len(ids):
-            hll.add_strings(ids)
-        rows.append(
-            {"source": s, "n": int(len(ii)), "td": td.to_bytes(), "hll": hll.to_bytes()}
+    if doc_ids.null_count < len(doc_ids):
+        has_id = np.asarray(pc.is_valid(doc_ids))
+        add_strings_grouped(hll, code[has_id], doc_ids.drop_null())
+    out = []
+    for s, c in sorted(index.items()):
+        lo, hi = bounds[c], bounds[c + 1]
+        td = TDigest().add(values[lo:hi], counts[lo:hi].astype(np.float64))
+        out.append(
+            {
+                "source": s,
+                "n": int(rows[c]),
+                "td": td.to_bytes(),
+                "hll": HyperLogLog.from_registers(hll[c]).to_bytes(),
+            }
         )
     return pa.Table.from_pylist(
-        rows,
+        out,
         schema=pa.schema(
             [("source", pa.string()), ("n", pa.int64()), ("td", pa.binary()), ("hll", pa.binary())]
         ),

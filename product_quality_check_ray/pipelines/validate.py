@@ -7,8 +7,11 @@ Dataflow (SURVEY.md §3.1 "our engine's equivalent plan")::
            • each fragment read once, batch by batch (ParquetFile.iter_batches)
            • schema conformance + all row checks (vectorized, zero-copy)
            • violation rows → partition-local parquet (side sink, no shuffle)
-           • per-(fragment, source) partial: counts, n_tok histogram,
-             exact n_tok value counts → one t-digest, HLL sketch bytes
+           • per-(fragment, source) partial, every source in one pass per
+             batch (SourcePartials): one source encode, bincounts over the
+             code for counts and n_tok histogram, one np.unique for exact
+             n_tok value counts (→ one t-digest per source at the end), one
+             doc_id hash into a [sources, 2^p] HLL register array
                                               ← the ONLY data leaving the task
       └ driver: one partial per (fragment, source) → per-partition lineage
     uniqueness phase: doc_id-only reads → hash-range tree reduce
@@ -63,7 +66,7 @@ from ..core.schema import HIST_BIN_WIDTH, HIST_NUM_BINS, SOURCE_ALLOWLIST
 from ..sources.dimensions import build_check_ctx, reference_histograms_dim
 from ..state import dupfinder
 from ..state import lineage as lin
-from ..state.sketches import HyperLogLog, TDigest
+from ..state.sketches import HyperLogLog, TDigest, add_strings_grouped
 
 _SENTINEL_MIN = 2**62
 
@@ -102,6 +105,11 @@ def _phase_log(name: str, t0: float) -> None:
 class RowCheckStage:
     """Fused row checks + violation side-sink + per-(fragment, source)
     partials.
+
+    Each batch's rows are checked, their violations written, and then added
+    to the fragment's ``SourcePartials`` in one vectorized pass over all
+    sources (no per-source Python loop); the lineage entries are built from
+    it once, at the end of the fragment.
 
     Dimension state (allowlist, caps, vocab) is built in ``__init__``, once
     per file-group task (``_check_group``) — the Ray-native version of the
@@ -160,12 +168,12 @@ class RowCheckStage:
             ctx = dict(ctx)
             ctx["enabled_checks"] = frozenset(base_set - proven)
         pid = lin.part_id_for(path)
-        acc: dict[str, dict] = {}
+        acc = SourcePartials()
         for b in batches:
             self._check_batch(pid, pa.table(b), ctx, acc)
-        return {s: _finish_partial(acc[s]) for s in sorted(acc)}
+        return acc.entries()
 
-    def _check_batch(self, pid: str, t: pa.Table, ctx: dict, acc: dict) -> None:
+    def _check_batch(self, pid: str, t: pa.Table, ctx: dict, acc: SourcePartials) -> None:
         annotated, mat = annotate_batch(t, ctx)
         ok = np.asarray(annotated.column("ok").to_numpy(zero_copy_only=False), dtype=bool)
         if self.write_violations and not ok.all():
@@ -179,58 +187,117 @@ class RowCheckStage:
             clean = t.filter(pa.array(ok))
             if clean.num_rows:
                 _sink_write(lin.clean_dir(self.out_dir, pid), "ok", pid, clean)
+        acc.add(annotated, ok, mat)
 
-        src = annotated.column("source").to_pandas().fillna("\x00null")
+
+def source_codes(column: pa.ChunkedArray, index: dict[str, int]) -> np.ndarray:
+    """int64 code of each row's source, null folded to the ``"\\x00null"``
+    group. Sources not yet in ``index`` (source → code) are appended in
+    order of first appearance, so one map keeps codes stable across the
+    batches of a fragment."""
+    enc = pc.dictionary_encode(pc.fill_null(column, "\x00null")).combine_chunks()
+    lut = np.array(
+        [index.setdefault(s, len(index)) for s in enc.dictionary.to_pylist()],
+        dtype=np.int64,
+    )
+    return lut[enc.indices.to_numpy(zero_copy_only=False)]
+
+
+def ntok_keys(codes: np.ndarray, n_tok: np.ndarray) -> np.ndarray:
+    """``code << 32 | n_tok`` per row: one int64 key that sorts by source
+    code, then n_tok. ``n_tok`` must lie in [0, 2^32)."""
+    if n_tok.size and n_tok.max() >> 32:
+        raise ValueError(f"n_tok {int(n_tok.max())} does not fit 32 bits")
+    return (codes << 32) | n_tok
+
+
+class SourcePartials:
+    """One fragment's running per-source partials, as arrays indexed by a
+    source code (``source_codes``, one map per fragment). Each batch adds in
+    one vectorized pass, whatever its number of sources: ``bincount`` over
+    the code for the row, ok and per-check counts and the histogram, one
+    ``np.unique`` over ``ntok_keys`` for the exact n_tok value counts (sum,
+    min and max follow from them exactly), and one doc_id hash feeding a
+    ``[sources, 2^p]`` HLL register array."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.ok_rows = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros((0, len(ROW_CHECK_NAMES)), dtype=np.int64)
+        self.hist = np.zeros((0, HIST_NUM_BINS + 1), dtype=np.int64)
+        self.hll = np.zeros((0, HyperLogLog().m), dtype=np.uint8)
+        # sorted distinct ntok_keys of the fragment's valid rows, and counts
+        self.keys = np.empty(0, dtype=np.int64)
+        self.key_counts = np.empty(0, dtype=np.int64)
+
+    def add(self, t: pa.Table, ok: np.ndarray, mat: np.ndarray) -> None:
+        """Add one annotated batch (``annotate_batch``'s table and matrix)."""
+        code = source_codes(t.column("source"), self.index)
+        n = len(self.index)
+        if n > len(self.rows):
+            for name in ("rows", "ok_rows", "counts", "hist", "hll"):
+                a = getattr(self, name)
+                pad = np.zeros((n - len(a),) + a.shape[1:], dtype=a.dtype)
+                setattr(self, name, np.concatenate([a, pad]))
+        self.rows += np.bincount(code, minlength=n)
+        self.ok_rows += np.bincount(code[ok], minlength=n)
+        k = len(ROW_CHECK_NAMES)
+        r, j = np.nonzero(mat)
+        self.counts += np.bincount(code[r] * k + j, minlength=n * k).reshape(n, k)
+
         n_tok = np.asarray(
-            pc.fill_null(annotated.column("n_tok"), -1).to_numpy(zero_copy_only=False),
+            pc.fill_null(t.column("n_tok"), -1).to_numpy(zero_copy_only=False),
             dtype=np.int64,
         )
-        doc_ids = annotated.column("doc_id")
-        for s, idx in src.groupby(src).groups.items():
-            ii = np.asarray(idx)
-            if s not in acc:
-                acc[s] = _new_partial()
-            a = acc[s]
-            ntv = n_tok[ii]
-            ntv = ntv[ntv >= 0]
-            a["rows"] += len(ii)
-            a["ok_rows"] += int(ok[ii].sum())
-            a["counts"] += mat[ii].sum(axis=0)
-            a["hist"] += np.bincount(
-                np.minimum(ntv // HIST_BIN_WIDTH, HIST_NUM_BINS),
-                minlength=HIST_NUM_BINS + 1,
+        valid = n_tok >= 0
+        vc, vt = code[valid], n_tok[valid]
+        nb = HIST_NUM_BINS + 1
+        self.hist += np.bincount(
+            vc * nb + np.minimum(vt // HIST_BIN_WIDTH, HIST_NUM_BINS), minlength=n * nb
+        ).reshape(n, nb)
+        # n_tok's domain is small-integer: keep exact value counts, so the
+        # digest costs O(distinct values), not O(rows)
+        keys, counts = np.unique(ntok_keys(vc, vt), return_counts=True)
+        if self.keys.size:
+            keys, inv = np.unique(np.concatenate([self.keys, keys]), return_inverse=True)
+            merged = np.zeros(len(keys), dtype=np.int64)
+            np.add.at(merged, inv, np.concatenate([self.key_counts, counts]))
+            counts = merged
+        self.keys, self.key_counts = keys, counts
+
+        ids = t.column("doc_id")
+        if ids.null_count < len(ids):
+            if ids.null_count:
+                code = code[np.asarray(pc.is_valid(ids))]
+            add_strings_grouped(self.hll, code, ids.drop_null())
+
+    def entries(self) -> dict[str, dict]:
+        """{source: lineage per-source entry}, sources sorted."""
+        codes = self.keys >> 32
+        values = self.keys & 0xFFFFFFFF
+        sums = np.zeros(len(self.index), dtype=np.int64)
+        np.add.at(sums, codes, values * self.key_counts)
+        bounds = np.searchsorted(codes, np.arange(len(self.index) + 1))
+        out = {}
+        for s in sorted(self.index):
+            c = self.index[s]
+            lo, hi = bounds[c], bounds[c + 1]
+            out[s] = _finish_partial(
+                {
+                    "rows": int(self.rows[c]),
+                    "ok_rows": int(self.ok_rows[c]),
+                    "counts": self.counts[c],
+                    "hist": self.hist[c],
+                    "sum_n_tok": int(sums[c]),
+                    "min_n_tok": int(values[lo]) if hi > lo else _SENTINEL_MIN,
+                    "max_n_tok": int(values[hi - 1]) if hi > lo else -1,
+                    "values": values[lo:hi],
+                    "weights": self.key_counts[lo:hi].astype(np.float64),
+                    "hll": HyperLogLog.from_registers(self.hll[c]),
+                }
             )
-            if ntv.size:
-                a["sum_n_tok"] += int(ntv.sum())
-                a["min_n_tok"] = min(a["min_n_tok"], int(ntv.min()))
-                a["max_n_tok"] = max(a["max_n_tok"], int(ntv.max()))
-                # n_tok's domain is small-integer: keep exact value counts,
-                # so the digest costs O(distinct values), not O(rows)
-                uv, uc = np.unique(ntv, return_counts=True)
-                a["values"], inv = np.unique(
-                    np.concatenate([a["values"], uv]), return_inverse=True
-                )
-                a["weights"] = np.bincount(
-                    inv, weights=np.concatenate([a["weights"], uc])
-                )
-            ids = doc_ids.take(pa.array(ii)).combine_chunks().drop_null()
-            if len(ids):
-                a["hll"].add_strings(ids)
-
-
-def _new_partial() -> dict:
-    return {
-        "rows": 0,
-        "ok_rows": 0,
-        "counts": np.zeros(len(ROW_CHECK_NAMES), dtype=np.int64),
-        "hist": np.zeros(HIST_NUM_BINS + 1, dtype=np.int64),
-        "sum_n_tok": 0,
-        "min_n_tok": _SENTINEL_MIN,
-        "max_n_tok": -1,
-        "values": np.empty(0, dtype=np.int64),
-        "weights": np.empty(0, dtype=np.float64),
-        "hll": HyperLogLog(),
-    }
+        return out
 
 
 def _finish_partial(a: dict) -> dict:

@@ -11,6 +11,8 @@ batch, never re-shipped per batch.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -81,9 +83,20 @@ def build_check_ctx(
     return ctx
 
 
+@functools.cache
+def _reference_histograms() -> dict[str, np.ndarray]:
+    hists = reference_histograms()
+    for h in hists.values():
+        h.flags.writeable = False
+    return hists
+
+
 def reference_histograms_dim() -> dict[str, np.ndarray]:
-    """source → expected n_tok histogram counts (FIXTURES.md §4)."""
-    return reference_histograms()
+    """source → expected n_tok histogram counts (FIXTURES.md §4). Sampled
+    once per process; each call returns a fresh dict of the same read-only
+    arrays, so a caller writing to one raises instead of changing the
+    dimension for every later caller."""
+    return dict(_reference_histograms())
 
 
 def load_allowlist_csv(path: str) -> list[dict]:

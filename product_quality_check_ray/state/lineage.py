@@ -67,7 +67,9 @@ def write_lineage(out_dir: str, part_id: str, record: dict[str, Any]) -> None:
     p = lineage_path(out_dir, part_id)
     tmp = p + f".tmp.{os.getpid()}"
     with open(tmp, "w") as f:
-        json.dump(record, f)
+        # json.dump(record, f) writes the same bytes through the pure-Python
+        # encoder; dumps takes the C one
+        f.write(json.dumps(record))
     os.replace(tmp, p)  # atomic publish
 
 
@@ -167,7 +169,7 @@ def run_success_path(out_dir: str) -> str:
 def write_run_record(out_dir: str, record: dict[str, Any]) -> None:
     tmp = run_success_path(out_dir) + f".tmp.{os.getpid()}"
     with open(tmp, "w") as f:
-        json.dump(record, f)
+        f.write(json.dumps(record))
     os.replace(tmp, run_success_path(out_dir))
 
 

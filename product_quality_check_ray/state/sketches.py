@@ -135,6 +135,35 @@ class TDigest:
         return t
 
 
+def _index_rank(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(register index, rank) of each uint64 hash for a 2^p-register HLL."""
+    idx = (h >> np.uint64(64 - p)).astype(np.int64)
+    rest = h << np.uint64(p)
+    # rank = position of leftmost 1-bit in remaining 64-p bits, in [1, 64-p+1]
+    nz = rest != 0
+    lz = np.full(h.shape, 64 - p, dtype=np.int64)
+    r = rest[nz]
+    # count leading zeros of 64-bit ints via float64 exponent is lossy;
+    # do it with a 4-step binary reduction instead.
+    shift = np.zeros(r.shape, dtype=np.uint64)
+    cur = r.copy()
+    for s in (np.uint64(32), np.uint64(16), np.uint64(8), np.uint64(4), np.uint64(2), np.uint64(1)):
+        mask = cur < (np.uint64(1) << (np.uint64(64) - s))
+        shift[mask] += s
+        cur[mask] = cur[mask] << s
+    lz[nz] = shift.astype(np.int64)
+    return idx, np.minimum(lz + 1, 64 - p + 1).astype(np.uint8)
+
+
+def add_strings_grouped(registers: np.ndarray, groups: np.ndarray, arr, seed: int = 0) -> None:
+    """``HyperLogLog.add_strings`` for one sketch per group in one hash pass:
+    element i of ``arr`` goes into row ``groups[i]`` of ``registers``, a
+    ``[groups, 2^p]`` uint8 array of HyperLogLog registers. Row g ends up
+    equal to the registers of a sketch fed only group g's strings."""
+    idx, rank = _index_rank(hash_strings(arr, seed=seed), registers.shape[1].bit_length() - 1)
+    np.maximum.at(registers, (groups, idx), rank)
+
+
 class HyperLogLog:
     """HLL with 2^p registers, 64-bit stable hashes, bias-corrected estimate.
 
@@ -151,23 +180,16 @@ class HyperLogLog:
         self.m = 1 << p
         self.registers = np.zeros(self.m, dtype=np.uint8)
 
+    @classmethod
+    def from_registers(cls, registers: np.ndarray) -> "HyperLogLog":
+        """The sketch holding ``registers`` (2^p uint8), e.g. one row of an
+        ``add_strings_grouped`` register array."""
+        h = cls(int(registers.size).bit_length() - 1)
+        h.registers = registers
+        return h
+
     def _observe_hashes(self, h: np.ndarray) -> None:
-        idx = (h >> np.uint64(64 - self.p)).astype(np.int64)
-        rest = h << np.uint64(self.p)
-        # rank = position of leftmost 1-bit in remaining 64-p bits, in [1, 64-p+1]
-        nz = rest != 0
-        lz = np.full(h.shape, 64 - self.p, dtype=np.int64)
-        r = rest[nz]
-        # count leading zeros of 64-bit ints via float64 exponent is lossy;
-        # do it with a 4-step binary reduction instead.
-        shift = np.zeros(r.shape, dtype=np.uint64)
-        cur = r.copy()
-        for s in (np.uint64(32), np.uint64(16), np.uint64(8), np.uint64(4), np.uint64(2), np.uint64(1)):
-            mask = cur < (np.uint64(1) << (np.uint64(64) - s))
-            shift[mask] += s
-            cur[mask] = cur[mask] << s
-        lz[nz] = shift.astype(np.int64)
-        rank = np.minimum(lz + 1, 64 - self.p + 1).astype(np.uint8)
+        idx, rank = _index_rank(h, self.p)
         np.maximum.at(self.registers, idx, rank)
 
     def add_strings(self, arr, seed: int = 0) -> "HyperLogLog":

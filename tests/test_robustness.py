@@ -134,6 +134,34 @@ def test_reference_histogram_dimension_roundtrip(tmp_path):
         load_reference_histograms(str(bad))
 
 
+def test_reference_histogram_dimension_is_cached_read_only():
+    from product_quality_check_ray.datagen import reference_histograms
+    from product_quality_check_ray.sources.dimensions import reference_histograms_dim
+
+    a, b = reference_histograms_dim(), reference_histograms_dim()
+    fresh = reference_histograms(0)
+    assert a is not b and set(a) == set(b) == set(fresh)
+    for s in fresh:
+        assert np.array_equal(a[s], fresh[s]) and np.array_equal(b[s], fresh[s])
+        with pytest.raises(ValueError, match="read-only"):
+            a[s][0] += 1
+    a.pop(next(iter(a)))  # the dict is the caller's own
+    assert set(reference_histograms_dim()) == set(fresh)
+
+
+def test_lineage_files_hold_json_dumps_bytes(tmp_path):
+    import json
+
+    from product_quality_check_ray.state import lineage as lin
+
+    rec = {"engine_version": lin.ENGINE_VERSION, "x": [1, 2.5, None], "s": "\x00null é", "n": {"a": -3}}
+    lin.write_lineage(str(tmp_path), "p-1", rec)
+    lin.write_run_record(str(tmp_path), rec)
+    want = json.dumps(rec).encode()
+    assert open(lin.lineage_path(str(tmp_path), "p-1"), "rb").read() == want
+    assert open(lin.run_success_path(str(tmp_path)), "rb").read() == want
+
+
 def test_inner_null_token_flags_domain_check():
     """Null ELEMENT inside a token list → token_neg flags, OOV still exact
     (regression: NaN float64 path corrupted both domain checks)."""

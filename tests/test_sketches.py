@@ -1,8 +1,10 @@
 """Sketch accuracy + mergeability bounds (SURVEY.md §5 plan #5)."""
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from product_quality_check_ray.state.sketches import HyperLogLog, TDigest
+from product_quality_check_ray.state.sketches import HyperLogLog, TDigest, add_strings_grouped
 
 
 def test_tdigest_quantiles_merged_partials():
@@ -68,6 +70,66 @@ def test_hll_merge_is_union_not_sum():
 def test_hll_small_range_linear_counting():
     h = HyperLogLog().add_strings([f"y-{i}" for i in range(50)])
     assert abs(h.estimate() - 50) < 5
+
+
+def test_grouped_hll_equals_one_sketch_per_group():
+    rng = np.random.default_rng(4)
+    ids = pa.array([f"g-{i}" for i in rng.integers(0, 30_000, 50_000)])
+    groups = rng.integers(0, 5, len(ids))
+    groups[groups == 3] = 2  # group 3 gets nothing: its row stays empty
+    regs = np.zeros((5, HyperLogLog().m), dtype=np.uint8)
+    add_strings_grouped(regs, groups, ids)
+    for g in range(5):
+        want = HyperLogLog()
+        sel = ids.filter(pa.array(groups == g))
+        if len(sel):
+            want.add_strings(sel)
+        got = HyperLogLog.from_registers(regs[g])
+        assert np.array_equal(got.registers, want.registers), g
+        assert got.to_bytes() == want.to_bytes()
+    assert not regs[3].any()
+
+
+def _loop_sketch_partial(t: pa.Table) -> pa.Table:
+    """The per-source loop ``seq_queries._sketch_partial`` replaced."""
+    src = t.column("source").to_pandas().fillna("\x00null")
+    n_tok = np.asarray(
+        pc.fill_null(t.column("n_tok"), -1).to_numpy(zero_copy_only=False), dtype=np.int64
+    )
+    doc_ids = t.column("doc_id")
+    rows = []
+    for s, idx in src.groupby(src).groups.items():
+        ii = np.asarray(idx)
+        ntv = n_tok[ii][n_tok[ii] >= 0]
+        uv, uc = np.unique(ntv, return_counts=True)
+        td = TDigest().add(uv.astype(np.float64), uc.astype(np.float64))
+        hll = HyperLogLog()
+        ids = doc_ids.take(pa.array(ii)).combine_chunks().drop_null()
+        if len(ids):
+            hll.add_strings(ids)
+        rows.append({"source": s, "n": int(len(ii)), "td": td.to_bytes(), "hll": hll.to_bytes()})
+    return pa.Table.from_pylist(
+        rows,
+        schema=pa.schema(
+            [("source", pa.string()), ("n", pa.int64()), ("td", pa.binary()), ("hll", pa.binary())]
+        ),
+    )
+
+
+def test_sketch_partial_equals_per_source_loop(small_corpus_table):
+    from product_quality_check_ray.pipelines.seq_queries import _sketch_partial
+
+    t = small_corpus_table.select(["source", "n_tok", "doc_id"])
+    n = t.num_rows
+    edge = pa.table(
+        {
+            "source": pa.array(["a", None, "b", "a", None, "c"]),
+            "n_tok": pa.array([3, None, -2, 7, 5, None], pa.int32()),
+            "doc_id": pa.array([None, "x", None, "y", None, None]),
+        }
+    )
+    for case in (t, t.slice(0, n // 3), edge, edge.slice(0, 0)):
+        assert _sketch_partial(case).equals(_loop_sketch_partial(case))
 
 
 def test_distinct_by_source_exact_across_batches(ray_session, tmp_path):
