@@ -51,12 +51,24 @@ def hash_ints(x: np.ndarray, seed: int = 0) -> np.ndarray:
     return splitmix64(z)
 
 
+def hash_keys(arr: "pa.Array | pa.ChunkedArray", seed: int = 0) -> np.ndarray:
+    """The exchange key hash → uint64 ndarray. Integer keys hash by value
+    at any width (int32 and int64 keys route alike); every other key type
+    hashes as strings (string and large_string alike). Callers drop null
+    keys first."""
+    if pa.types.is_integer(arr.type):
+        vals = arr.to_numpy(zero_copy_only=False)
+        return hash_ints(vals.astype(_U64, copy=False), seed=seed)
+    return hash_strings(arr, seed=seed)
+
+
 def range_edges(ranges: int) -> np.ndarray:
     """Split points of the uint64 hash space into ``ranges`` uniform ranges:
     the partitioner of ``core/exchange.split`` (dupfinder, pairreduce, the
-    corpus-diff and incremental-dedup reducers) and of the exchanges not
-    yet ported to it (``core/joins``, ``state/components``,
-    ``pipelines/substring``, ``pipelines/tokspans``)."""
+    corpus-diff and incremental-dedup reducers, ``core/joins`` and the
+    boilerplate reassembly) and of the exchanges not yet ported to it
+    (``state/components``, ``pipelines/substring``,
+    ``pipelines/tokspans``)."""
     # ranges is clamped >= 2 by callers: ranges=1 would evaluate
     # np.uint64(2**64) (OverflowError) and break num_returns plumbing
     assert ranges >= 2

@@ -1,4 +1,4 @@
-"""Broadcast-or-shuffle join helpers (semi / anti / lookup).
+"""Broadcast-or-exchange join helpers (semi / anti / lookup).
 
 Several pipelines semi-join a fact table against a key set that is USUALLY
 small (a filtered customer segment, the distinct order custkeys) but is
@@ -14,17 +14,22 @@ The policy here (VERDICT r1 item 4):
   ``ray.put`` the distinct key array ONCE and filter with a vectorized
   ``pc.is_in`` inside ``map_batches`` (the array is fetched zero-copy per
   worker, never re-shipped per task);
-- otherwise (semi/anti) run a hash-range KEY exchange: both sides ship only
-  their per-block-distinct key values (never rows) to R range reducers that
-  compute the exact matched-key intersection; the matched set flows
-  worker→worker through the object store (driver holds refs only) and each
-  block filters in place against the per-worker-cached matched set.  Rows
-  never shuffle — the native ``Dataset.join`` fallback used before round 5
-  moved every ds row through a hash shuffle AND crashed on the zero-column
-  empty partitions Ray's join builds for tiny/skewed inputs (ADVICE r4).
+- otherwise run one hash-range KEY exchange (``key_exchange`` over
+  ``core/exchange``): ds ships its per-block-group distinct keys, the other
+  side its key-hashed rows (the key side's distinct keys for semi/anti, the
+  dim rows for lookup), and each range reducer keeps the other side's rows
+  whose key occurs in ds. The matched set flows worker→worker through the
+  object store (the driver holds refs only), bounded by
+  min(|distinct ds keys|, |other side|), and each ds batch filters or
+  enriches in place against its per-worker-cached concatenation. Rows of
+  ds never shuffle — the native ``Dataset.join`` fallback used before
+  round 5 moved every ds row through a hash shuffle AND crashed on the
+  zero-column empty partitions Ray's join builds for tiny/skewed inputs
+  (ADVICE r4).
 
-Both paths are exactly equivalent; ``tests/test_operators.py`` forces the
-exchange path with a tiny cap and compares.
+Both paths are exactly equivalent; ``tests/test_operators.py`` and
+``tests/test_exchange.py`` force the exchange path with a tiny cap and
+compare.
 
 Reference analog: exact dictionary semi-join (J2, banningredients.py:131-139)
 generalized with a scale guard.
@@ -32,7 +37,7 @@ generalized with a scale guard.
 
 from __future__ import annotations
 
-import os
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -41,9 +46,11 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from . import exchange
 from .collect import collect_table as _collect
+from .hashing import hash_keys
 
-BROADCAST_KEY_CAP = int(os.environ.get("PQCRAY_BROADCAST_KEY_CAP", str(2_000_000)))
+BROADCAST_KEY_CAP = 2_000_000
 
 
 def probe_keys(keys_ds: rd.Dataset, col: str, cap: int) -> pa.Array | None:
@@ -112,13 +119,12 @@ def semi_join(
     *,
     anti: bool = False,
     cap: int | None = None,
-    num_partitions: int = 8,
 ) -> rd.Dataset:
     """``ds ⋉ keys_ds`` (or ``ds ∖ keys_ds`` when ``anti``) on one key column.
 
     Output columns are exactly ``ds``'s columns. Null keys in ``ds`` never
     match (semi drops them, anti keeps them) — is_in/fill_null semantics on
-    the broadcast path, mirrored by the null-filter on the join path.
+    both paths; the exchange drops null keys before hashing.
     """
     cap = BROADCAST_KEY_CAP if cap is None else cap
     keys = probe_keys(keys_ds, keys_col, cap)
@@ -127,123 +133,23 @@ def semi_join(
         # here when ds's schema is known without running it, else per batch
         ds_type = _key_type(ds.schema(fetch_if_missing=False), key_col)
         _check_families(key_col, ds_type, keys_col, keys.type)
-        ref = ray.put(keys)
+        get_keys = partial(ray.get, ray.put(pa.table({keys_col: keys})))
+    else:
+        ds, get_keys = _matched(ds, key_col, keys_ds, [keys_col], distinct=True)
 
-        def filt(t: pa.Table) -> pa.Table:
-            vals = ray.get(ref)
-            _check_families(key_col, t.column(key_col).type, keys_col, vals.type)
-            mask = pc.fill_null(pc.is_in(t.column(key_col), value_set=vals), False)
-            if anti:
-                mask = pc.invert(mask)
-            # metadata strip: downstream joins/shuffles hash block schemas
-            # for dedup and a pandas-metadata dict defeats that (batches.py)
-            return t.filter(mask).replace_schema_metadata(None)
-
-        return ds.map_batches(filt, batch_format="pyarrow")
-
-    # --- above-cap fallback: hash-range key exchange, rows never move ---
-    try:
-        ranges = max(int(ray.cluster_resources().get("CPU", 8)), num_partitions)
-    except Exception:  # pragma: no cover - no cluster
-        ranges = max(8, num_partitions)
-    ranges = max(2, ranges)
-    ktype = _key_type(ds.schema(), key_col)
-    keys_m = keys_ds.materialize()
-    _check_families(key_col, ktype, keys_col, _key_type(keys_m.schema(), keys_col))
-    ds_m = ds.materialize()
-    l_refs = [r for b in ds_m.iter_internal_ref_bundles() for r in b.block_refs]
-    r_refs = [r for b in keys_m.iter_internal_ref_bundles() for r in b.block_refs]
-    maps_l = [
-        _sj_split_keys.options(num_returns=ranges).remote(
-            l_refs[i : i + 8], key_col, ranges
-        )
-        for i in range(0, len(l_refs), 8)
-    ]
-    maps_r = [
-        _sj_split_keys.options(num_returns=ranges).remote(
-            r_refs[i : i + 8], keys_col, ranges
-        )
-        for i in range(0, len(r_refs), 8)
-    ]
-    matched_refs = [
-        _sj_intersect_range.remote(
-            len(maps_l), *[m[r] for m in maps_l], *[m[r] for m in maps_r]
-        )
-        for r in range(ranges)
-    ]
-
-    def filt_matched(t: pa.Table, _cache={}) -> pa.Table:
-        # per-WORKER cache of the concatenated matched-key set: heap cost is
-        # workers/node × matched_bytes, bounded by min(|distinct ds keys|,
-        # |keys side|) — the same build-side-per-node bound any hash join
-        # carries, paid once per worker process, never per task
+    def filt(t: pa.Table, _cache={}) -> pa.Table:
         vals = _cache.get("vals")
         if vals is None:
-            # empty ranges come back string-typed (the sentinel schema) —
-            # cast every chunk to the ds key type before the one concat
-            parts = [p.column("k") for p in ray.get(list(matched_refs))]
-            vals = pa.concat_arrays(
-                [c.cast(ktype) for p in parts for c in p.chunks]
-                or [pa.array([], type=ktype)]
-            )
-            _cache["vals"] = vals
-        col = t.column(key_col)
-        if len(vals):
-            mask = pc.fill_null(pc.is_in(col, value_set=vals), False)
-        else:
-            mask = pa.array(np.zeros(t.num_rows, dtype=bool))
+            vals = _cache["vals"] = get_keys().column(0)
+        _check_families(key_col, t.column(key_col).type, keys_col, vals.type)
+        mask = pc.fill_null(pc.is_in(t.column(key_col), value_set=vals), False)
         if anti:
             mask = pc.invert(mask)
+        # metadata strip: downstream joins/shuffles hash block schemas
+        # for dedup and a pandas-metadata dict defeats that (batches.py)
         return t.filter(mask).replace_schema_metadata(None)
 
-    return ds_m.map_batches(filt_matched, batch_format="pyarrow")
-
-
-@ray.remote
-def _sj_split_keys(block_refs: list, col: str, ranges: int) -> tuple:
-    """Per-block-group DISTINCT non-null key values, split into uint64
-    hash ranges (``core.hashing`` stable hashes — string or integer keys).
-    Ships values, never rows; tolerates zero-column empty blocks (the
-    groupby→aggregate empty-partition artifact, ADVICE r4)."""
-    from .hashing import hash_ints, hash_strings, range_edges
-
-    blocks = ray.get(list(block_refs))
-    cols = []
-    for b in blocks:
-        t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        if t.num_rows and col in t.column_names:
-            cols.append(pc.unique(t.column(col).combine_chunks().drop_null()))
-    if not cols:
-        empty = pa.table({"k": pa.array([], type=pa.string())})
-        return tuple(empty for _ in range(ranges))
-    vals = pc.unique(pa.concat_arrays([c.cast(cols[0].type) for c in cols]))
-    if pa.types.is_integer(vals.type):
-        h = hash_ints(vals.to_numpy(zero_copy_only=False).astype(np.int64))
-    else:
-        h = hash_strings(vals.cast(pa.string()))
-    order = np.argsort(h, kind="stable")
-    vals = vals.take(pa.array(order))
-    idx = np.searchsorted(h[order], range_edges(ranges))
-    bounds = np.r_[0, idx, len(vals)]
-    return tuple(
-        pa.table({"k": vals.slice(bounds[r], bounds[r + 1] - bounds[r])})
-        for r in range(ranges)
-    )
-
-
-@ray.remote
-def _sj_intersect_range(n_l: int, *parts) -> pa.Table:
-    """One hash range's exact matched-key set: distinct ds-side keys that
-    also appear on the keys side (exact value equality — hashes only route,
-    so the result is collision-free)."""
-    l_parts = [p.column("k") for p in parts[:n_l] if p.num_rows]
-    r_parts = [p.column("k") for p in parts[n_l:] if p.num_rows]
-    if not l_parts or not r_parts:
-        return pa.table({"k": pa.array([], type=pa.string())})
-    lt = l_parts[0].type
-    lv = pc.unique(pa.concat_arrays([c for p in l_parts for c in p.chunks]))
-    rv = pa.concat_arrays([c.cast(lt) for p in r_parts for c in p.chunks])
-    return pa.table({"k": lv.filter(pc.is_in(lv, value_set=rv))})
+    return ds.map_batches(filt, batch_format="pyarrow")
 
 
 def lookup_join(
@@ -254,7 +160,6 @@ def lookup_join(
     value_cols: list[str],
     *,
     cap: int | None = None,
-    num_partitions: int = 8,
 ) -> rd.Dataset:
     """Enrich ``ds`` with ``value_cols`` from a dimension table (inner,
     key → values; dim keys are assumed unique, the dimension-loader
@@ -264,12 +169,8 @@ def lookup_join(
     ``ray.put`` ONCE and each batch does a local Arrow hash join against the
     per-worker-cached table (zero-copy plasma read, never re-shipped per
     task); above the cap the dim is first REDUCED to the rows whose key
-    actually appears in ``ds`` via the same hash-range exchange as
-    ``semi_join`` (ds ships per-block-distinct keys, the dim ships its
-    rows; each range emits its matched dim rows), and the matched dim —
-    bounded by min(|distinct ds keys|, |dim|) — is then the local-join
-    build side. Rows of ``ds`` never shuffle; ``Dataset.join`` (which
-    crashed on zero-column empty partitions, ADVICE r4) is gone.
+    actually appears in ``ds`` by the same key exchange as ``semi_join``,
+    and the matched dim is then the local-join build side.
     Output columns: ``ds``'s columns ⊕ ``value_cols``.
     """
     cap = BROADCAST_KEY_CAP if cap is None else cap
@@ -280,127 +181,96 @@ def lookup_join(
         dim_key, _key_type(dim_head.schema, dim_key),
     )
     out_cols = list(ds_schema.names) + list(value_cols)
-
-    def local_join(dim_getter):
-        def enrich(t: pa.Table, _cache={}) -> pa.Table:
-            dim = _cache.get("dim")
-            if dim is None:
-                dim = _cache["dim"] = dim_getter()
-            ktype = t.schema.field(key_col).type
-            if dim.schema.field(dim_key).type != ktype:
-                # same family, other width (int32 vs int64): the Arrow join
-                # needs identical key types
-                i = dim.schema.get_field_index(dim_key)
-                dim = _cache["dim"] = dim.set_column(
-                    i, dim_key, dim.column(i).cast(ktype)
-                )
-            j = t.join(
-                dim, keys=[key_col], right_keys=[dim_key], join_type="inner"
-            )
-            return j.select(out_cols).replace_schema_metadata(None)
-
-        return enrich
-
     if dim_head.num_rows <= cap:
-        ref = ray.put(dim_head.combine_chunks())
-        return ds.map_batches(
-            local_join(lambda: ray.get(ref)), batch_format="pyarrow"
-        )
-
-    # --- above-cap: range-reduce the dim to its ds-matched rows ---
-    try:
-        ranges = max(int(ray.cluster_resources().get("CPU", 8)), num_partitions)
-    except Exception:  # pragma: no cover - no cluster
-        ranges = max(8, num_partitions)
-    ranges = max(2, ranges)
-    dim_schema = pa.schema(
-        [
-            (n, t)
-            for n, t in zip(dim_ds.schema().names, dim_ds.schema().types)
-            if n in {dim_key, *value_cols}
-        ]
-    )
-    dim_schema = pa.schema(
-        [(c, dim_schema.field(c).type) for c in [dim_key, *value_cols]]
-    )
-    ds_m = ds.materialize()
-    dim_m = dim_ds.materialize()
-    l_refs = [r for b in ds_m.iter_internal_ref_bundles() for r in b.block_refs]
-    r_refs = [r for b in dim_m.iter_internal_ref_bundles() for r in b.block_refs]
-    maps_l = [
-        _sj_split_keys.options(num_returns=ranges).remote(
-            l_refs[i : i + 8], key_col, ranges
-        )
-        for i in range(0, len(l_refs), 8)
-    ]
-    maps_r = [
-        _lj_split_rows.options(num_returns=ranges).remote(
-            r_refs[i : i + 8], dim_key, dim_schema, ranges
-        )
-        for i in range(0, len(r_refs), 8)
-    ]
-    matched_refs = [
-        _lj_match_range.remote(
-            len(maps_l), dim_key, *[m[r] for m in maps_l], *[m[r] for m in maps_r]
-        )
-        for r in range(ranges)
-    ]
-
-    def fetch_matched(_schema=dim_schema):
-        parts = [p for p in ray.get(list(matched_refs)) if p.num_rows]
-        if not parts:
-            return _schema.empty_table()
-        return pa.concat_tables([p.cast(_schema) for p in parts]).combine_chunks()
-
-    return ds_m.map_batches(local_join(fetch_matched), batch_format="pyarrow")
-
-
-@ray.remote
-def _lj_split_rows(
-    block_refs: list, key_col: str, schema: pa.Schema, ranges: int
-) -> tuple:
-    """Split dim ROWS (key + values, projected to ``schema``) into uint64
-    key-hash ranges; tolerates zero-column empty blocks."""
-    from .hashing import hash_ints, hash_strings, range_edges
-
-    cols = list(schema.names)
-    blocks = ray.get(list(block_refs))
-    tables = []
-    for b in blocks:
-        t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        if t.num_rows and all(c in t.column_names for c in cols):
-            tables.append(t.select(cols).replace_schema_metadata(None).cast(schema))
-    if not tables:
-        empty = schema.empty_table()
-        return tuple(empty for _ in range(ranges))
-    t = pa.concat_tables(tables)
-    keys = t.column(key_col).combine_chunks()
-    if pa.types.is_integer(keys.type):
-        h = hash_ints(
-            pc.fill_null(keys, 0).to_numpy(zero_copy_only=False).astype(np.int64)
-        )
+        get_dim = partial(ray.get, ray.put(dim_head.combine_chunks()))
     else:
-        h = hash_strings(pc.fill_null(keys.cast(pa.string()), ""))
-    order = np.argsort(h, kind="stable")
-    t = t.take(pa.array(order))
-    idx = np.searchsorted(h[order], range_edges(ranges))
-    bounds = np.r_[0, idx, t.num_rows]
-    return tuple(
-        t.slice(bounds[r], bounds[r + 1] - bounds[r]) for r in range(ranges)
+        ds, get_dim = _matched(ds, key_col, dim_ds, [dim_key, *value_cols])
+
+    def enrich(t: pa.Table, _cache={}) -> pa.Table:
+        dim = _cache.get("dim")
+        if dim is None:
+            dim = _cache["dim"] = get_dim()
+        ktype = t.schema.field(key_col).type
+        if dim.schema.field(dim_key).type != ktype:
+            # same family, other width (int32 vs int64): the Arrow join
+            # needs identical key types
+            i = dim.schema.get_field_index(dim_key)
+            dim = _cache["dim"] = dim.set_column(i, dim_key, dim.column(i).cast(ktype))
+        j = t.join(dim, keys=[key_col], right_keys=[dim_key], join_type="inner")
+        return j.select(out_cols).replace_schema_metadata(None)
+
+    return ds.map_batches(enrich, batch_format="pyarrow")
+
+
+def _matched(ds, key_col: str, other, cols: list[str], distinct: bool = False):
+    """The above-cap path of both joins: ``(ds materialized, getter)``,
+    where the getter returns ``other``'s ``cols`` rows (key first) whose
+    key occurs among ``ds``'s ``key_col`` values, deduplicated when
+    ``distinct``, as one table."""
+    ds, other = ds.materialize(), other.materialize()
+    types = [_key_type(other.schema(), c) for c in cols]
+    ds_type = _key_type(ds.schema(), key_col)
+    _check_families(key_col, ds_type, cols[0], types[0])
+    schema = pa.schema(list(zip(cols, types)))
+    # a ds without blocks has no schema (rd.from_items([])); it ships nothing
+    refs = key_exchange(
+        (ds, pa.schema([(key_col, ds_type or types[0])]), True),
+        (other, schema, distinct),
+        _match_range,
+        schema,
+        distinct,
     )
+    return ds, partial(_concat_refs, refs)
+
+
+def _concat_refs(refs: list) -> pa.Table:
+    return pa.concat_tables(ray.get(list(refs))).combine_chunks()
+
+
+def key_exchange(first: tuple, second: tuple, reduce_task, *args) -> list:
+    """One key exchange between two materialized Datasets, each given as
+    ``(ds, schema, distinct)`` (``schema``: the columns to ship, key
+    first). Each side's block groups are cut by ``split_by_key``; one
+    ObjectRef per hash range of ``reduce_task(*args, n_first, *parts)``,
+    where ``parts`` holds ``first``'s ``n_first`` partials, then
+    ``second``'s."""
+    ranges = exchange.range_count()
+    groups = [exchange.block_groups(ds) for ds, _, _ in (first, second)]
+    mapped = [
+        m
+        for (_, schema, distinct), g in zip((first, second), groups)
+        for m in exchange.map_ranges(split_by_key, g, ranges, schema, distinct)
+    ]
+    return exchange.reduce_ranges(mapped, reduce_task, ranges, *args, len(groups[0]))
 
 
 @ray.remote
-def _lj_match_range(n_l: int, dim_key: str, *parts) -> pa.Table:
-    """One key-hash range's ds-matched dim rows (exact key equality)."""
-    k_parts = [p.column("k") for p in parts[:n_l] if p.num_rows]
-    d_parts = [p for p in parts[n_l:] if p.num_rows]
-    if not k_parts or not d_parts:
-        return d_parts[0].slice(0, 0) if d_parts else pa.table({})
-    dim = pa.concat_tables(d_parts)
-    kt = dim.column(dim_key).type
-    kv = pa.concat_arrays(
-        [c.cast(kt) for p in k_parts for c in p.chunks]
-    )
-    mask = pc.fill_null(pc.is_in(dim.column(dim_key), value_set=kv), False)
-    return dim.filter(mask)
+def split_by_key(block_refs: list, ranges: int, schema: pa.Schema, distinct: bool) -> tuple:
+    """The map of a key exchange: a block group's ``schema`` columns with
+    null keys dropped (only the distinct keys when ``distinct``; then
+    ``schema`` is the key alone), one table per ``hash_keys`` range.
+    Zero-column empty blocks are skipped; typed empties come from
+    ``schema``, never from a sampled block."""
+    t = exchange.fetch_table(block_refs, schema.names)
+    t = schema.empty_table() if t is None else t.cast(schema)
+    t = t.filter(pc.is_valid(t.column(0)))
+    if distinct:
+        t = pa.table([pc.unique(t.column(0))], schema=schema)
+    h = hash_keys(t.column(0))
+    order = np.argsort(h, kind="stable")
+    return tuple(p for (p,) in exchange.split(h[order], ranges, t.take(order)))
+
+
+@ray.remote
+def _match_range(schema: pa.Schema, distinct: bool, n_ds: int, *parts) -> pa.Table:
+    """One hash range's matched rows: the other side's rows whose key
+    occurs among ds's keys (exact value equality — hashes only route)."""
+    keys = [c for p in parts[:n_ds] for c in p.column(0).chunks]
+    rows = [p for p in parts[n_ds:] if p.num_rows]
+    if not keys or not rows:
+        return schema.empty_table()
+    t = pa.concat_tables(rows)
+    t = t.filter(pc.is_in(t.column(0), value_set=pa.concat_arrays(keys)))
+    if distinct:
+        t = pa.table([pc.unique(t.column(0))], schema=schema)
+    return t

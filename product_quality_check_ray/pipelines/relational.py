@@ -13,7 +13,8 @@ Scale notes (the 100 TB contract):
 - Bounded dimension sides (region/nation) are driver dicts; anything that
   grows with the input (customer segments, distinct order keys) goes through
   ``core.joins.semi_join``: ``ray.put``-broadcast ``is_in`` under
-  ``BROADCAST_KEY_CAP``, native hash ``Dataset.join`` above it.
+  ``BROADCAST_KEY_CAP``, a hash-range key exchange above it (rows of the
+  fact side never shuffle).
 - The one genuinely large-large equi-join (lineitem ⨝ orders) uses the native
   hash-partitioned ``Dataset.join``; at cluster scale ``num_partitions``
   should be ~cluster cores; here it is sized for the local test.
@@ -145,7 +146,7 @@ def top_revenue_orders(sf_dir: str, segment: str = "BUILDING", k: int = 10) -> p
     )
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
     # segment key set is usually small (broadcast is_in) but grows with the
-    # input — semi_join spills to the native hash join above the key cap
+    # input — semi_join switches to its key exchange above the key cap
     orders_f = semi_join(orders, "o_custkey", cust_keys, "c_custkey").select_columns(
         ["o_orderkey", "o_orderdate"]
     )
@@ -307,8 +308,9 @@ def grouped_topk_orders(sf_dir: str, k: int = 3) -> pa.Table:
     """Top-k orders per customer market segment by total price.
 
     Customer→segment enrichment via the broadcast-or-shuffle
-    ``core.joins.lookup_join`` (dim broadcast under the 2M-row cap, native
-    hash join above — never a driver ``take_all`` dict), then per-batch
+    ``core.joins.lookup_join`` (dim broadcast under the 2M-row cap, the
+    dim reduced to its matched rows by a key exchange above — never a
+    driver ``take_all`` dict), then per-batch
     local top-k combiner → groupby(segment) → exact top-k within each group
     (map_groups). The shuffle only carries k rows per segment per batch,
     never the orders table.
@@ -480,8 +482,8 @@ def customers_without_orders(sf_dir: str) -> pa.Table:
         return pa.table({"o_custkey": u})
 
     # per-batch distinct combiner shrinks the key side before the semi_join
-    # probe; above the broadcast cap semi_join(anti=True) becomes a
-    # left_outer hash join + null filter instead of a driver key set
+    # probe; above the broadcast cap semi_join(anti=True) runs its key
+    # exchange instead of holding a driver key set
     key_ds = orders.map_batches(distinct_partial, batch_format="pyarrow")
     cust = _read(sf_dir, "customer", columns=["c_custkey", "c_name", "c_acctbal"])
     out = semi_join(cust, "c_custkey", key_ds, "o_custkey", anti=True).sort("c_custkey")

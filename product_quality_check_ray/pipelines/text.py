@@ -35,7 +35,6 @@ import ray.data as rd
 from ray.data.aggregate import Count, Min
 
 from ..core.collect import collect_table as _collect
-from ..core.exchange import range_count
 from ..core.rounding import round_half_away as _rha
 
 WS_TOKEN_RE = r"\S+"
@@ -897,7 +896,7 @@ def exact_loser_ids_ds(ds: rd.Dataset) -> rd.Dataset:
        (``state/dupfinder.dup_group_id_refs``) emits per-range CANDIDATE id
        tables as ObjectRefs;
     2. the corpus is semi-joined against the candidate Dataset
-       (``core/joins`` — broadcast under the 2M-key cap, hash join above),
+       (``core/joins`` — broadcast under the 2M-key cap, key exchange above),
        full md5 fingerprints are computed for candidate rows only, and a
        second range reduce groups by EXACT fingerprint (collision-free) and
        emits each group's non-min ids — the losers — as per-range tables.
@@ -1846,7 +1845,7 @@ def clean_full_state_ref(
       extra reads) and the second element is None;
     - above the cap (majority-duplicate corpus): the broadcast drop array
       is EMPTY and the caller must anti-join the returned loser Dataset
-      before its fused pass (``core/joins.semi_join`` shuffle path) — the
+      before its fused pass (``core/joins.semi_join`` key exchange) — the
       driver never holds the drop set (VERDICT r3 finding #1).
     """
     import ray as _ray
@@ -2258,7 +2257,7 @@ def doc_boilerplate_strip(
     dedupe); oracle: DuckDB window-segment CTE + HAVING count(DISTINCT
     doc_id) (see __ray_entry__.oracle_sql).
     """
-    from ..core.joins import BROADCAST_KEY_CAP, probe_keys, semi_join
+    from ..core.joins import BROADCAST_KEY_CAP, key_exchange, probe_keys, semi_join
 
     cap = BROADCAST_KEY_CAP if cap is None else cap
     docs = _docs(sf_dir, columns=["doc_id", "text"])
@@ -2319,13 +2318,13 @@ def doc_boilerplate_strip(
         return docs.map_batches(strip, batch_format="pyarrow")
 
     # --- distributed path: the boilerplate set exceeds the broadcast cap ---
-    # Reassembly is a raw-task hash-range reduce on doc_id (the dupfinder
-    # idiom), NOT groupby(doc_id).map_groups: per-doc map_groups over
-    # millions of tiny groups is the documented pathology (measured 167 s
-    # vs 11 s broadcast at 500k docs); one exchange + R vectorized range
-    # reducers brings the fallback back to the same complexity class.  The
-    # range reduce re-groups by doc_id globally, so mid-doc block splits
-    # in this segment stream are harmless here.
+    # Reassembly is a raw-task hash-range reduce on doc_id
+    # (``core/joins.key_exchange``), NOT groupby(doc_id).map_groups: per-doc
+    # map_groups over millions of tiny groups is the documented pathology
+    # (measured 167 s vs 11 s broadcast at 500k docs); one exchange + R
+    # vectorized range reducers brings the fallback back to the same
+    # complexity class.  The range reduce re-groups by doc_id globally, so
+    # mid-doc block splits in this segment stream are harmless here.
     seg_stream = docs.map_batches(
         lambda t: _window_segments(t, width), batch_format="pyarrow"
     )
@@ -2349,63 +2348,14 @@ def doc_boilerplate_strip(
     # one row per doc (rows are whole docs; the reducer's sum would also
     # tolerate splits)
     tot = docs.map_batches(totals, batch_format="pyarrow").materialize()
-    ranges = range_count()
-    kept_refs = [r for b in kept.iter_internal_ref_bundles() for r in b.block_refs]
-    tot_refs = [r for b in tot.iter_internal_ref_bundles() for r in b.block_refs]
-    tot_schema = pa.schema(
-        [("doc_id", pa.int64()), ("n_seg", pa.int64())]
+    doc_id = ("doc_id", pa.int64())
+    tot_schema = pa.schema([doc_id, ("n_seg", pa.int64())])
+    kept_schema = pa.schema([doc_id, ("seg_idx", pa.int64()), ("statement", pa.string())])
+    return rd.from_arrow_refs(
+        key_exchange(
+            (tot, tot_schema, False), (kept, kept_schema, False), _bp_reduce_range
+        )
     )
-    kept_schema = pa.schema(
-        [("doc_id", pa.int64()), ("seg_idx", pa.int64()), ("statement", pa.string())]
-    )
-    maps_t = [
-        _bp_split_blocks.options(num_returns=ranges).remote(
-            tot_refs[i : i + 8], ranges, tot_schema
-        )
-        for i in range(0, len(tot_refs), 8)
-    ]
-    maps_k = [
-        _bp_split_blocks.options(num_returns=ranges).remote(
-            kept_refs[i : i + 8], ranges, kept_schema
-        )
-        for i in range(0, len(kept_refs), 8)
-    ]
-    out_refs = [
-        _bp_reduce_range.remote(
-            len(maps_t), *[m[r] for m in maps_t], *[m[r] for m in maps_k]
-        )
-        for r in range(ranges)
-    ]
-    return rd.from_arrow_refs(out_refs)
-
-
-@ray.remote
-def _bp_split_blocks(block_refs: list, ranges: int, schema: pa.Schema) -> tuple:
-    """Split blocks' rows into doc_id-hash ranges (tuple of ``ranges``
-    tables). Column-wise concat: block schema metadata may differ.
-    Schema-driven: zero-column empty blocks (the groupby/map_batches
-    empty-partition artifact, ADVICE r4) are skipped and typed empties are
-    built from ``schema``, never from a sampled block."""
-    from ..core.hashing import splitmix64
-
-    cols = list(schema.names)
-    blocks = ray.get(list(block_refs))
-    tables = [
-        (b if isinstance(b, pa.Table) else pa.Table.from_batches([b]))
-        for b in blocks
-    ]
-    tables = [
-        t.select(cols).replace_schema_metadata(None).cast(schema)
-        for t in tables
-        if t.num_rows and all(c in t.column_names for c in cols)
-    ]
-    if not tables:
-        empty = schema.empty_table()
-        return tuple(empty for _ in range(ranges))
-    t = pa.concat_tables(tables)
-    vid = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-    rng = (splitmix64(vid.view(np.uint64)) % np.uint64(ranges)).astype(np.int64)
-    return tuple(t.filter(pa.array(rng == r)) for r in range(ranges))
 
 
 @ray.remote
@@ -2413,16 +2363,14 @@ def _bp_reduce_range(n_tot: int, *parts) -> pa.Table:
     """One doc_id-hash range: merge totals + kept segments, reassemble each
     doc's cleaned text with ONE vectorized sort + pandas groupby agg."""
     # a doc_id-hash range can receive zero totals rows (doc count small
-    # relative to the range count) — concat the first typed-empty part so
-    # the empty-range early return below still fires (ADVICE r4)
-    if n_tot == 0:
-        return _BOILERPLATE_SCHEMA.empty_table()
-    tot = pa.concat_tables([p for p in parts[:n_tot] if p.num_rows] or [parts[0]])
-    if tot.num_rows == 0:
+    # relative to the range count, ADVICE r4)
+    tot_parts = [p for p in parts[:n_tot] if p.num_rows]
+    if not tot_parts:
         return _BOILERPLATE_SCHEMA.empty_table()
     kept_parts = [p for p in parts[n_tot:] if p.num_rows]
     tdf = (
-        tot.to_pandas()
+        pa.concat_tables(tot_parts)
+        .to_pandas()
         .groupby("doc_id", sort=True)["n_seg"]
         .sum()  # a doc lives in one block, but sum is harmless + robust
     )

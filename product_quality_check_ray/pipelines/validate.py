@@ -318,10 +318,15 @@ def _finish_partial(a: dict) -> dict:
 
 
 @ray.remote
-def _check_group(paths: list[str], **stage_kwargs) -> dict[str, dict]:
-    """Row-check one file group with one stage: {path: per-source partials}."""
+def _check_group(paths: list[str], **stage_kwargs) -> dict[str, tuple[dict, float]]:
+    """Row-check one file group with one stage: {path: (per-source
+    partials, the fragment's check wall in seconds)}."""
     stage = RowCheckStage(**stage_kwargs)
-    return {p: stage.check_fragment(p) for p in paths}
+    out = {}
+    for p in paths:
+        t0 = time.perf_counter()
+        out[p] = (stage.check_fragment(p), time.perf_counter() - t0)
+    return out
 
 
 @dataclass
@@ -516,15 +521,15 @@ def run_validation(
     }
     for wave in _chunks(todo, max(1, wave_files)):
         t0 = time.time()
-        partials: dict[str, dict] = {}
+        checked: dict[str, tuple[dict, float]] = {}
         for r in ray.get(
             [_check_group.remote(g, **stage_kwargs) for g in dupfinder.file_groups(wave)]
         ):
-            partials.update(r)
+            checked.update(r)
         _phase_log(f"rowcheck wave({len(wave)} files)", t0)
         t1 = time.time()
         wave_viol, wave_parts = _publish_wave(
-            out_dir, wave, partials, time.time() - t0, config_digest=cfg_digest
+            out_dir, wave, checked, config_digest=cfg_digest
         )
         lin.heartbeat(out_dir)
         _phase_log("publish wave", t1)
@@ -617,16 +622,16 @@ def _config_digest(
 def _publish_wave(
     out_dir: str,
     wave: list[str],
-    partials: dict[str, dict],
-    wall_s: float,
+    checked: dict[str, tuple[dict, float]],
     config_digest: "str | None" = None,
 ) -> tuple[int, int]:
     """Publish lineage for every fully-covered partition of this wave from
-    its one partial per source; returns (published violation rows,
-    published partitions) so the caller can enforce a fail-fast budget."""
+    its one partial per source and its own check wall; returns (published
+    violation rows, published partitions) so the caller can enforce a
+    fail-fast budget."""
     pub_viol = pub_parts = 0
     for fpath in wave:
-        per_source = partials.get(fpath, {})
+        per_source, wall_s = checked.get(fpath, ({}, 0.0))
         file_rows = pq.read_metadata(fpath).num_rows
         processed = sum(a["rows"] for a in per_source.values())
         if processed != file_rows:

@@ -32,7 +32,7 @@ import ray
 import ray.data as rd
 
 from ..core import exchange
-from ..core.hashing import hash_ints, hash_strings
+from ..core.hashing import hash_keys
 
 RANGE_SEED = 11
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -63,14 +63,13 @@ def map_keys(block_refs: list, ranges: int, key_col: str, id_col: str, size_col=
             if size_col is not None
             else None
         )
+        h = hash_keys(keys, seed=RANGE_SEED)
+        # integer keys (e.g. 64-bit band/piece keys) stay numeric — no
+        # to_pylist object conversion
         if pa.types.is_integer(keys.type):
-            # integer keys (e.g. 64-bit band/piece keys): hash numerically
-            # and keep them numeric — no to_pylist object conversion
             keys_np = keys.to_numpy(zero_copy_only=False)
-            h = hash_ints(keys_np.astype(np.uint64, copy=False), seed=RANGE_SEED)
         else:
             keys_np = np.asarray(keys.to_pylist(), dtype=object)
-            h = hash_strings(keys, seed=RANGE_SEED)
         order = np.argsort(h, kind="stable")
         h, keys_np, ids = h[order], keys_np[order], ids[order]
         if sizes is not None:

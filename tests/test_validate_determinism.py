@@ -117,3 +117,19 @@ def test_old_engine_version_lineage_is_revalidated(ray_session, corpus, tmp_path
     assert rec["engine_version"] == lin.ENGINE_VERSION == 2
     assert rec["wall_s"] >= 0
     assert os.path.getmtime(lin.lineage_path(out, kept)) == mtime_kept
+
+
+def test_partition_wall_is_its_fragments_own(ray_session, tmp_path):
+    """Each lineage record carries its own fragment's check wall, not the
+    wave's: in one wave a 40k-row fragment's wall_s exceeds a 10-row one's."""
+    from product_quality_check_ray.datagen import write_sequences
+
+    src = write_sequences(str(tmp_path / "src"), 40000, seed=9, num_fragments=1)
+    big = glob.glob(os.path.join(src, "frag-*.parquet"))[0]
+    seq = str(tmp_path / "seq")
+    os.makedirs(seq)
+    shutil.copy(big, os.path.join(seq, "frag-000.parquet"))
+    pq.write_table(pq.read_table(big).slice(0, 10), os.path.join(seq, "frag-001.parquet"))
+    rep = run_validation(seq, str(tmp_path / "out"), uniqueness=False)
+    walls = {p["file_rows"]: p["wall_s"] for p in rep.partitions.values()}
+    assert walls[40000] > walls[10]
