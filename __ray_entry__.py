@@ -1581,8 +1581,8 @@ def oracle_sql() -> dict[str, str]:
             WHERE (try_cast(right(v.doc_id, 12) AS BIGINT) * {tk.MIXSEQ_MULT})
                   % {tk.MIXSEQ_PRIME} % {tk.MIXSEQ_PPM} < r.r_ppm
         """,
-        # engine mirrors quantile_disc exactly (rank ceil(q·n), integer
-        # thresholds from the per-(source, n_tok) count merge); NULL n_tok
+        # engine mirrors quantile_disc exactly (rank max(1, ceil(q·n)),
+        # integer thresholds from grouped radix select); NULL n_tok
         # rows are the null check's finding, never a length outlier; NULL
         # source is its own quantile group (IS NOT DISTINCT FROM join)
         "seq_length_outliers": f"""

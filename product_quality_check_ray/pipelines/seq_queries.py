@@ -15,6 +15,8 @@ source + flags), so nothing here ships token arrays through a shuffle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -555,44 +557,20 @@ def seq_sketch_accuracy(sf_dir: str) -> pa.Table:
     - exact distinct per source via the hash-range reduce
       (``_distinct_by_source`` — unique (id-hash, source-hash) pairs per
       range, driver sees per-range counts);
-    - exact n_tok quantiles from per-source value-count combiners (n_tok is
-      small-domain, so the full histogram is O(sources × 2k) integers);
+    - the exact n_tok values at the window's ranks per source (n_tok ≥ 0)
+      via ``state/orderstats.grouped_kth`` radix select;
 
     and emits booleans the ORACLE asserts structurally (TRUE per source,
     the ``doc_simhash_recall`` grading pattern): a sketch regression
     surfaces as FALSE → driver hash mismatch. Output: (source, rows,
     hll_ok, p50_ok, p90_ok, p99_ok)."""
     from ..core.hashing import hash_strings
+    from ..state.orderstats import grouped_kth
 
     ds = _seq_ds(sf_dir, columns=["source", "n_tok", "doc_id"])
     merged = _merge_sketch_partials(
         ds.map_batches(_sketch_partial, batch_format="pyarrow").take_all()
     )
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        src = t.column("source").to_pandas().fillna("\x00null")
-        nt = np.asarray(
-            pc.fill_null(t.column("n_tok"), -1).to_numpy(zero_copy_only=False),
-            dtype=np.int64,
-        )
-        df = pd.DataFrame({"source": src, "v": nt, "n": np.int64(1)})
-        g = df[df["v"] >= 0].groupby(["source", "v"], as_index=False).sum()
-        g["n"] = g["n"].astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    hist: dict[str, dict[int, int]] = {}
-    for bt in (
-        _seq_ds(sf_dir, columns=["source", "n_tok"])
-        .map_batches(hist_partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        for s, v, n in zip(
-            bt.column("source").to_pylist(),
-            bt.column("v").to_pylist(),
-            bt.column("n").to_pylist(),
-        ):
-            hv = hist.setdefault(s, {})
-            hv[v] = hv.get(v, 0) + int(n)
 
     def id_pairs(t: pa.Table) -> pa.Table:
         src = pc.fill_null(t.column("source").combine_chunks(), "\x00null")
@@ -617,19 +595,24 @@ def seq_sketch_accuracy(sf_dir: str) -> pa.Table:
     )
     distinct_by_hash = _distinct_by_source(pair_ds)
 
-    def exact_q(counts: dict[int, int], q: float, eps: float) -> tuple[float, float]:
-        vals = np.array(sorted(counts), dtype=np.int64)
-        cnts = np.array([counts[v] for v in vals.tolist()], dtype=np.int64)
-        n = int(cnts.sum())
-        cum = np.cumsum(cnts)
+    qs = (("p50_ok", 0.5), ("p90_ok", 0.9), ("p99_ok", 0.99))
 
-        def at_rank(r: int) -> float:
-            r = min(max(r, 0), n - 1)
-            return float(vals[np.searchsorted(cum, r + 1)])
+    def window_ranks(n: int) -> list[int]:
+        # the values at 0-based ranks floor((q−ε)(n−1)) and ceil((q+ε)(n−1)),
+        # clamped to the column, as 1-based ranks
+        return [
+            min(max(r, 0), n - 1) + 1
+            for _, q in qs
+            for r in (
+                math.floor((q - SKETCH_TD_RANK_EPS) * (n - 1)),
+                math.ceil((q + SKETCH_TD_RANK_EPS) * (n - 1)),
+            )
+        ]
 
-        lo = at_rank(int(np.floor((q - eps) * (n - 1))))
-        hi = at_rank(int(np.ceil((q + eps) * (n - 1))))
-        return lo, hi
+    exact = grouped_kth(
+        _seq_ds(sf_dir, columns=["source", "n_tok"]).filter(expr="n_tok >= 0"),
+        "source", "n_tok", window_ranks,
+    )
 
     rows = []
     # null source LAST (the na_position='last' convention of the sibling
@@ -646,13 +629,13 @@ def seq_sketch_accuracy(sf_dir: str) -> pa.Table:
         hll_ok = (
             abs(est_d - exact_d) <= SKETCH_HLL_BOUND * exact_d if exact_d else est_d < 1.0
         )
-        counts = hist.get(s, {})
+        n, window = exact.get(None if s == "\x00null" else s, (0, []))
         q_ok = {}
-        for name, q in (("p50_ok", 0.5), ("p90_ok", 0.9), ("p99_ok", 0.99)):
-            if not counts:
+        for i, (name, q) in enumerate(qs):
+            if not n:
                 q_ok[name] = True
                 continue
-            lo, hi = exact_q(counts, q, SKETCH_TD_RANK_EPS)
+            lo, hi = window[2 * i].value, window[2 * i + 1].value
             est = a["td"].quantile(q)
             q_ok[name] = (lo - 1e-9) <= est <= (hi + 1e-9)
         rows.append(
@@ -773,42 +756,58 @@ def seq_token_topk(sf_dir: str, k: int = 100) -> pa.Table:
     )
 
 
+PERCENTILES: tuple[tuple[str, float], ...] = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
+
+
+def _pct_ranks(n: int, q: float) -> tuple[int, int]:
+    """The 1-based ranks around ``h = q·(n−1)`` that linear interpolation
+    reads: ``floor(h)+1`` and ``min(floor(h)+2, n)``."""
+    f = math.floor(q * (n - 1))
+    return f + 1, min(f + 2, n)
+
+
+def _pct_value(n: int, q: float, a: int, b: int) -> float:
+    """``np.percentile(v, 100·q, method="linear")`` from the values ``a``,
+    ``b`` at ``_pct_ranks(n, q)``, with numpy's lerp (from ``b`` when the
+    weight is ≥ 0.5)."""
+    h = q * (n - 1)
+    t = h - math.floor(h)
+    a, b = float(a), float(b)
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def seq_ntok_percentiles(sf_dir: str) -> pa.Table:
-    """EXACT per-source n_tok percentiles (linear interpolation — matches
-    SQL ``percentile_cont`` bit-for-bit).
+    """EXACT per-source n_tok percentiles (linear interpolation, rounded to
+    6 decimals — SQL ``round(percentile_cont(q), 6)``).
 
-    groupby(source).map_groups with in-group numpy percentile: ships only
-    the (source, n_tok) projection. This is the exact complement to the
-    t-digest scale path (`seq_sketch_report`): exact percentiles require a
-    whole source's values in one group, which holds for audit-sized corpora
-    but not at 10^12 rows — there the sketch is the answer.
+    Each percentile reads the two values around ``q·(n−1)``; both come from
+    ``state/orderstats.grouped_kth`` radix select, so no source's values
+    are ever held in one task. NULL n_tok is excluded; a source whose n_tok
+    is all NULL keeps a row of NULL percentiles. Rows are ordered by
+    source, the NULL source last.
     """
-    ds = _seq_ds(sf_dir, columns=["source", "n_tok"])
+    from ..state.orderstats import grouped_kth
 
-    def pct(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["n_tok"].dropna().to_numpy(dtype=np.float64)
-        if v.size == 0:
-            return pd.DataFrame(
-                {
-                    "source": df["source"].iloc[:1],
-                    "p50": [np.nan],
-                    "p90": [np.nan],
-                    "p99": [np.nan],
-                }
+    def ranks(n: int) -> list[int]:
+        return [r for _, q in PERCENTILES for r in _pct_ranks(n, q)]
+
+    got = grouped_kth(_seq_ds(sf_dir, columns=["source", "n_tok"]), "source", "n_tok", ranks)
+    order = sorted(got, key=lambda g: (g is None, g or ""))
+    cols: dict = {name: [] for name, _ in PERCENTILES}
+    for g in order:
+        n, st = got[g]
+        for i, (name, q) in enumerate(PERCENTILES):
+            cols[name].append(
+                float(_rha(_pct_value(n, q, st[2 * i].value, st[2 * i + 1].value), 6))
+                if n
+                else None
             )
-        return pd.DataFrame(
-            {
-                "source": [df["source"].iloc[0]],
-                "p50": _rha(np.array([np.percentile(v, 50, method="linear")]), 6),
-                "p90": _rha(np.array([np.percentile(v, 90, method="linear")]), 6),
-                "p99": _rha(np.array([np.percentile(v, 99, method="linear")]), 6),
-            }
-        )
-
-    from ..core.batches import arrow_out as _ao
-
-    out = ds.groupby("source").map_groups(_ao(pct), batch_format="pandas")
-    return _collect(out.sort("source"))
+    return pa.table(
+        {
+            "source": pa.array(order, type=pa.string()),
+            **{name: pa.array(v, type=pa.float64()) for name, v in cols.items()},
+        }
+    )
 
 
 # quantile-band tails for seq_length_outliers (0.5% each side)
@@ -816,58 +815,11 @@ OUTLIER_Q_LO = 0.005
 OUTLIER_Q_HI = 0.995
 
 
-def seq_ntok_value_counts(sf_dir: str) -> pd.DataFrame:
-    """Exact per-(source, n_tok) value counts, merged on the driver.
-
-    The scale path for EXACT order statistics over an integer column:
-    per-batch ``groupby(source, n_tok).size`` partials are at most
-    |sources| × |distinct n_tok| rows (≤ a few thousand for any real
-    max-sequence-length), so the merged table is tiny at any corpus size —
-    no row ever shuffles and no group is ever shipped whole (contrast
-    ``seq_ntok_percentiles``'s map_groups, which needs a source's values in
-    one task). NULL n_tok rows are excluded (they are the null check's
-    finding, not a length datum); NULL source is its own group (SQL
-    ``GROUP BY`` NULL-group semantics).
-    """
-    ds = _seq_ds(sf_dir, columns=["source", "n_tok"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.dropna(subset=["n_tok"])
-        g = d.groupby(["source", "n_tok"], as_index=False, dropna=False).size()
-        g = g.rename(columns={"size": "n"})
-        g["n_tok"] = g["n_tok"].astype(np.int64)
-        g["n"] = g["n"].astype(np.int64)
-        return g
-
-    parts = ds.map_batches(_aout(partial), batch_format="pandas").take_all()
-    merged = pd.DataFrame(parts)
-    if merged.empty:
-        return pd.DataFrame({"source": pd.Series(dtype=object),
-                             "n_tok": pd.Series(dtype=np.int64),
-                             "n": pd.Series(dtype=np.int64)})
-    out = merged.groupby(["source", "n_tok"], as_index=False, dropna=False)["n"].sum()
-    out["n"] = out["n"].astype(np.int64)
-    return out
-
-
-def _disc_quantiles(counts: pd.DataFrame, qs: "tuple[float, ...]") -> dict:
-    """Per-source discrete quantiles from (source, n_tok, n) counts —
-    DuckDB ``quantile_disc`` semantics exactly: the value at (1-indexed)
-    position ``ceil(q·n_rows)`` of the sorted column, i.e. the first value
-    whose cumulative count reaches that rank. Both sides compute
-    ``q·n_rows`` in IEEE double, so no float boundary can disagree."""
-    th: dict = {}
-    for src, g in counts.groupby("source", dropna=False, sort=False):
-        g = g.sort_values("n_tok")
-        vals = g["n_tok"].to_numpy(dtype=np.int64)
-        cum = np.cumsum(g["n"].to_numpy(dtype=np.int64))
-        total = int(cum[-1])
-        key = None if (isinstance(src, float) and np.isnan(src)) or src is None else src
-        th[key] = tuple(
-            int(vals[int(np.searchsorted(cum, max(1, int(np.ceil(q * total)))))])
-            for q in qs
-        )
-    return th
+def _disc_rank(n: int, q: float) -> int:
+    """DuckDB ``quantile_disc``'s 1-based rank: ``max(1, ceil(q·n))``, with
+    ``q·n`` in IEEE double on both sides, so no float boundary can
+    disagree."""
+    return max(1, math.ceil(q * n))
 
 
 def seq_length_outliers(
@@ -879,20 +831,23 @@ def seq_length_outliers(
     misses a shard whose lengths are legal but wildly atypical for its
     source).
 
-    Two streaming passes, zero shuffle: (1) the tiny per-(source, n_tok)
-    count merge above → per-source thresholds on the driver; (2) one
-    broadcast flag pass that emits only the offending rows. Exactness is
-    the point — both thresholds and flags are integer comparisons, so the
-    SQL oracle (``quantile_disc`` + join) must agree bit-for-bit. At
-    10^12 rows pass 1's partials stay bounded by |sources| × |distinct
-    lengths|; the t-digest sketch path (`seq_sketch_report`) remains the
-    answer for real-valued columns.
+    Two stages, zero row shuffle: (1) per-source thresholds from
+    ``state/orderstats.grouped_kth`` radix select at the ``_disc_rank``
+    ranks; (2) one broadcast flag pass that emits only the offending rows.
+    Exactness is the point — both thresholds and flags are integer
+    comparisons, so the SQL oracle (``quantile_disc`` + join) must agree
+    bit-for-bit.
 
     Output: (doc_id, source, n_tok, lo, hi, side) — side is 'low'/'high'.
     NULL-n_tok rows are never flagged (the null check owns those).
     """
-    counts = seq_ntok_value_counts(sf_dir)
-    th = _disc_quantiles(counts, (q_lo, q_hi)) if len(counts) else {}
+    from ..state.orderstats import grouped_kth
+
+    got = grouped_kth(
+        _seq_ds(sf_dir, columns=["source", "n_tok"]), "source", "n_tok",
+        lambda n: [_disc_rank(n, q_lo), _disc_rank(n, q_hi)],
+    )
+    th = {g: (st[0].value, st[1].value) for g, (n, st) in got.items() if n}
 
     def flag(df: pd.DataFrame) -> pd.DataFrame:
         nt = df["n_tok"].to_numpy(dtype=np.float64, na_value=np.nan)
@@ -929,76 +884,56 @@ _EXACT_Q_SCHEMA = pa.schema(
 )
 
 
+def _exact_ranks(n: int) -> list[int]:
+    return [(n * num + den - 1) // den for _, num, den in EXACT_QUANTILES]  # ceil
+
+
 def seq_ntok_exact_quantiles(sf_dir: str) -> pa.Table:
     """EXACT corpus-wide discrete n_tok quantiles (value at rank
     ceil(q·n), ascending — the lower discrete quantile) via
-    ``state/orderstats`` radix select.
+    ``state/orderstats.grouped_kth`` radix select over one group: exact
+    and scale-safe for any integer column (worker-summed histogram
+    partials, ≤4 refinement rounds over the full int64 range; n_tok needs
+    1). The t-digest (``seq_sketch_report``) is the approximate path. NULL
+    n_tok rows are excluded (the null check's finding, not a length
+    datum); a corpus with no non-null n_tok returns the typed empty table.
+    Reference analog: the summary stats the reference prints per run
+    (app.py:1454-1460 progress aggregates); oracle: row_number rank join
+    (see __ray_entry__.oracle_sql)."""
+    from ..state.orderstats import grouped_kth
 
-    This is the third point of the order-statistics triangle:
-    ``seq_ntok_percentiles`` is exact but ships a whole source's values
-    into one task; ``seq_sketch_report`` scales but approximates; this is
-    exact AND scale-safe for any integer column — per-batch bincount
-    partials, a 2^16-int driver histogram, ≤4 refinement passes over the
-    full int64 range (n_tok needs 1). NULL n_tok rows are excluded (the
-    null check's finding, not a length datum — the
-    ``seq_ntok_value_counts`` convention); a corpus with no non-null
-    n_tok returns the typed empty table. Reference analog: the summary
-    stats the reference prints per run (app.py:1454-1460 progress
-    aggregates); oracle: row_number rank join (see
-    __ray_entry__.oracle_sql)."""
-    from ..state.orderstats import quantiles_disc
-
-    ds = _seq_ds(sf_dir, columns=["n_tok"]).materialize()
-    got = quantiles_disc(
-        ds, "n_tok", tuple((num, den) for _, num, den in EXACT_QUANTILES)
-    )
-    if not got:
+    got = grouped_kth(_seq_ds(sf_dir, columns=["n_tok"]), None, "n_tok", _exact_ranks)
+    n, st = got.get(None, (0, []))
+    if not n:
         return _EXACT_Q_SCHEMA.empty_table()
     return pa.table(
         {
             "quantile": pa.array([name for name, _, _ in EXACT_QUANTILES]),
-            "k": pa.array([k for _, _, k, _ in got], type=pa.int64()),
-            "value": pa.array([st.value for _, _, _, st in got], type=pa.int64()),
+            "k": pa.array(_exact_ranks(n), type=pa.int64()),
+            "value": pa.array([x.value for x in st], type=pa.int64()),
         }
     )
 
 
-_SRC_Q_SCHEMA = pa.schema(
-    [
-        ("source", pa.string()),
-        ("quantile", pa.string()),
-        ("k", pa.int64()),
-        ("value", pa.int64()),
-    ]
-)
-
-
 def seq_source_exact_quantiles(sf_dir: str) -> pa.Table:
-    """EXACT per-source discrete n_tok quantiles via GROUPED radix select —
-    the scale-safe replacement for ``seq_ntok_percentiles``' ship-the-group
-    map_groups: every (source, quantile) pair refines its own interval but
-    each refinement round is ONE shared scan (1 + ≤4 scans total regardless
-    of source/quantile count; the driver holds a 2^16-int histogram per
-    pair).  Same rank contract as ``seq_ntok_exact_quantiles``
-    (value at ceil(q·n) ascending, NULL n_tok excluded, a NULL source is
-    its own group); sources whose n_tok is all NULL are absent (no rank
-    exists).  Oracle: per-source row_number rank join (see
-    __ray_entry__.oracle_sql)."""
-    from ..state.orderstats import grouped_quantiles_disc
+    """EXACT per-source discrete n_tok quantiles via
+    ``state/orderstats.grouped_kth``: every (source, quantile) pair refines
+    its own interval, and each refinement round is ONE shared pass over the
+    blocks (1 + ≤4 passes regardless of source/quantile count). Same rank
+    contract as ``seq_ntok_exact_quantiles`` (value at ceil(q·n)
+    ascending, NULL n_tok excluded, a NULL source is its own group);
+    sources whose n_tok is all NULL are absent (no rank exists).  Oracle:
+    per-source row_number rank join (see __ray_entry__.oracle_sql)."""
+    from ..state.orderstats import grouped_kth
 
-    ds = _seq_ds(sf_dir, columns=["source", "n_tok"]).materialize()
-    got = grouped_quantiles_disc(
-        ds, "source", "n_tok", tuple((num, den) for _, num, den in EXACT_QUANTILES)
+    got = grouped_kth(
+        _seq_ds(sf_dir, columns=["source", "n_tok"]), "source", "n_tok", _exact_ranks
     )
-    if not got:
-        return _SRC_Q_SCHEMA.empty_table()
-    rows = []
-    for g, lst in got.items():
-        if isinstance(g, float) and np.isnan(g):
-            g = None  # pandas NaN group label → SQL NULL group
-        for (num, den, k, st), (name, qn, qd) in zip(lst, EXACT_QUANTILES):
-            assert (num, den) == (qn, qd)
-            rows.append((g, name, k, st.value))
+    rows = [
+        (g, name, k, x.value)
+        for g, (n, st) in got.items()
+        for (name, _, _), k, x in zip(EXACT_QUANTILES, _exact_ranks(n), st)
+    ]
     rows.sort(key=lambda r: (r[0] is not None, r[0] or "", r[1]))
     return pa.table(
         {

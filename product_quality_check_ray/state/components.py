@@ -39,8 +39,6 @@ its degree in messages, which upstream LSH bucket caps already bound.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
@@ -50,7 +48,7 @@ from ..core.exchange import range_count
 from ..core.hashing import hash_ints, range_edges as _edges
 
 COMP_SEED = 23
-DRIVER_PAIR_CAP = int(os.environ.get("PQCRAY_CC_DRIVER_PAIR_CAP", str(2_000_000)))
+DRIVER_PAIR_CAP = 2_000_000
 
 _EMPTY = np.empty(0, dtype=np.int64)
 

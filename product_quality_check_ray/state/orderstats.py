@@ -1,36 +1,45 @@
 """Distributed exact order statistics over integer columns (radix select).
 
-``seq_ntok_percentiles`` ships a whole group to one task (exact, but only
-for audit-sized groups) and ``seq_sketch_report`` answers at corpus scale
-with a t-digest (approximate).  This module closes the gap for INTEGER
-columns: the exact kth order statistic of an int64 column at any corpus
-size, without ever shipping a group anywhere.
+``grouped_kth`` is the one exact path: for every group of a Dataset it
+returns the values at the ranks a caller asks for (quantiles, percentile
+neighbours, top-k thresholds), at any corpus size, without shipping a group
+or a value list anywhere. The approximate, mergeable path is the t-digest
+(``seq_sketch_report``).
 
-Radix refinement: maintain a value interval ``[lo, hi]`` known to contain
-the kth value plus the kth's rank within it; each pass histograms the
-in-interval values into ≤ 2^bits equal-width buckets (one ``np.bincount``
-per batch — a fixed 8·2^bits-byte partial regardless of batch size), the
-driver sums the tiny partial vectors and descends into the bucket holding
-the rank.  int64's full range needs ≤ 4 passes at bits=16; realistic value
-spans (token counts, millibit scores) finish in 2.  The driver never holds
-more than the 2^bits-int histogram; no shuffle, no group materialization.
+Radix refinement: each wanted (group, rank) keeps a value interval
+``[lo, hi]`` known to hold its value, plus the rank within it. A round
+histograms the in-interval values into ≤ 2^bits equal-width buckets and
+descends into the bucket holding the rank. int64's full range needs ≤ 4
+rounds at bits=16; realistic spans (token counts, millibit scores) finish
+in 1–2. (Selection by distribution counting, Knuth TAOCP vol 3 §5.3.3.)
 
-This is the classic external/parallel radix-select (selection by counting,
-e.g. Knuth TAOCP vol 3 §5.3.3 distribution counting); the distributed shape
-is partial-histogram tree-sum, the same combiner contract as every other
-partial in this repo.
+Dataflow, per ``exchange.block_groups`` group of the Dataset's blocks:
+
+1. a stats pass: one task per group returns per-group (min, max, count),
+   so the driver folds O(block groups × groups) rows; groups whose column
+   is all NULL come back with ``n = 0``;
+2. each round: (group, rank) pairs with equal intervals share one
+   histogram plan; one map task per block group counts its values per
+   key ``plan·2^bits + bucket`` and splits the counts by the key's
+   ``hash_keys`` hash; ``exchange.run`` sums each hash range's partials
+   with ``segment_sum``. The driver receives each (plan, bucket) key once:
+   at most plans × 2^bits rows, whatever the block count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data as rd
+
+from ..core import exchange
+from ..core.hashing import hash_keys
 
 
 @dataclass(frozen=True)
@@ -38,346 +47,214 @@ class KthStats:
     """kth order statistic plus the tie bookkeeping selection needs."""
 
     value: int
-    n_less: int  # values strictly below `value` (whole column)
+    n_less: int  # values strictly below `value` (whole group)
     n_equal: int  # values exactly equal to `value`
     n_total: int  # non-null values
 
 
-def _scan_stats(ds: rd.Dataset, col: str) -> tuple[int, int, int]:
-    """(min, max, count) of the non-null int64 column in one pass."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = t.column(col).drop_null().to_numpy(zero_copy_only=False).astype(np.int64)
-        if v.size == 0:
-            return pa.table(
-                {
-                    "mn": pa.array([], type=pa.int64()),
-                    "mx": pa.array([], type=pa.int64()),
-                    "n": pa.array([], type=pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "mn": pa.array([int(v.min())], type=pa.int64()),
-                "mx": pa.array([int(v.max())], type=pa.int64()),
-                "n": pa.array([int(v.size)], type=pa.int64()),
-            }
-        )
-
-    mn, mx, n = None, None, 0
-    for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        if b.num_rows == 0:
-            continue
-        bmn = int(np.min(b.column("mn").to_numpy()))
-        bmx = int(np.max(b.column("mx").to_numpy()))
-        n += int(np.sum(b.column("n").to_numpy()))
-        mn = bmn if mn is None else min(mn, bmn)
-        mx = bmx if mx is None else max(mx, bmx)
-    return mn, mx, n
-
-
 _BIAS = 1 << 63  # int64 → biased uint64 (x ^ 2^63), order-isomorphic
+_EMPTY_U64 = np.empty(0, dtype=np.uint64)
 
 
-def _histogram_pass(
-    ds: rd.Dataset, col: str, lo: int, hi: int, shift: int, nbuckets: int
-) -> np.ndarray:
-    """Sum of per-batch bincounts of ``(v - lo) >> shift`` for v ∈ [lo, hi].
+def _columns(group_col: "str | None", col: str) -> list[str]:
+    return [col] if group_col is None else [group_col, col]
 
-    Bucket arithmetic runs in the BIASED uint64 domain: a raw ``v - lo``
-    overflows int64 whenever the column spans more than half the int64
-    range (lo deeply negative, v large positive), yielding negative bucket
-    indices and a bincount ValueError.  ``x ^ 2^63`` maps int64
-    order-isomorphically onto uint64, where the difference always fits."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        v = t.column(col).drop_null().to_numpy(zero_copy_only=False).astype(np.int64)
+@ray.remote
+def _stats_task(refs: list, group_col: "str | None", col: str) -> "pa.Table | None":
+    """Per-group min, max and non-null count of one block group (Arrow
+    aggregates: no float64 round trip above 2^53; a NULL group is a group)."""
+    t = exchange.fetch_table(refs, _columns(group_col, col))
+    if t is None:
+        return None
+    keys = [] if group_col is None else [group_col]
+    return t.group_by(keys, use_threads=False).aggregate(
+        [(col, "min"), (col, "max"), (col, "count")]
+    )
+
+
+@ray.remote
+def _hist_task(
+    refs: list, ranges: int, group_col, col: str, gvals: list, plans: list, bits: int
+) -> tuple:
+    """One round's map: (keys, counts) per hash range, key = plan·2^bits +
+    bucket of every in-interval value. Buckets are cut in the biased uint64
+    domain, where ``v - lo`` cannot overflow on a full-int64 span. Rows are
+    sorted by (group, value) once, so each plan is two binary searches."""
+    t = exchange.fetch_table(refs, _columns(group_col, col))
+    keys, counts = _EMPTY_U64, np.empty(0, dtype=np.int64)
+    if t is not None:
+        t = t.filter(pc.is_valid(t.column(col)))
+        v = t.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
         vu = v.view(np.uint64) ^ np.uint64(_BIAS)
-        ulo, uhi = np.uint64(lo + _BIAS), np.uint64(hi + _BIAS)
-        vu = vu[(vu >= ulo) & (vu <= uhi)]
-        counts = np.bincount(
-            ((vu - ulo) >> np.uint64(shift)).astype(np.int64), minlength=nbuckets
-        ).astype(np.int64)
-        return pa.table({"h": pa.array([counts])})
+        if group_col is None:
+            code = np.zeros(len(vu), dtype=np.int64)
+        else:
+            gset = pa.array(gvals, type=t.schema.field(group_col).type)
+            code = pc.fill_null(
+                pc.index_in(t.column(group_col), value_set=gset, skip_nulls=False), -1
+            ).to_numpy(zero_copy_only=False)
+        order = np.lexsort((vu, code))
+        code, vu = code[order], vu[order]
+        parts = []
+        for p, (gi, lo, hi, shift) in enumerate(plans):
+            g = vu[np.searchsorted(code, gi, "left") : np.searchsorted(code, gi, "right")]
+            ulo, uhi = np.uint64(lo + _BIAS), np.uint64(hi + _BIAS)
+            g = g[np.searchsorted(g, ulo, "left") : np.searchsorted(g, uhi, "right")]
+            parts.append((np.uint64(p) << np.uint64(bits)) + ((g - ulo) >> np.uint64(shift)))
+        keys, counts = np.unique(np.concatenate(parts), return_counts=True)
+    h = hash_keys(pa.array(keys))
+    order = np.argsort(h, kind="stable")
+    return tuple(exchange.split(h[order], ranges, keys[order], counts[order]))
 
-    total = np.zeros(nbuckets, dtype=np.int64)
-    for b in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for row in b.column("h"):
-            total += np.asarray(row.as_py(), dtype=np.int64)
-    return total
+
+@ray.remote
+def _sum_range(*parts) -> tuple:
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    order = np.argsort(keys, kind="stable")
+    return exchange.segment_sum(keys[order], counts[order])
+
+
+def _histogram_round(
+    groups: list, group_col, col: str, gvals: list, plans: list, bits: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """One round's (key, count) arrays, summed worker-side, in key order."""
+    parts = ray.get(
+        exchange.run(
+            _hist_task, groups, _sum_range, exchange.range_count(cap=len(groups)),
+            map_args=(group_col, col, gvals, plans, bits),
+        )
+    )
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    order = np.argsort(keys)
+    return keys[order], counts[order]
+
+
+class _Select:
+    """One (group, rank) refinement: the interval holding the rank, the rank
+    within it and the values below the interval."""
+
+    __slots__ = ("lo", "hi", "k_rem", "n_less", "result")
+
+    def __init__(self, lo: int, hi: int, k: int):
+        self.lo, self.hi, self.k_rem, self.n_less, self.result = lo, hi, k, 0, None
+
+
+def grouped_kth(
+    ds: rd.Dataset,
+    group_col: "str | None",
+    col: str,
+    ranks: "Callable[[int], Sequence[int]]",
+    *,
+    bits: int = 16,
+) -> "dict[object, tuple[int, list[KthStats]]]":
+    """Exact order statistics of ``ds[col]`` per group of ``group_col``
+    (``None``: the whole column is one group, keyed ``None``).
+
+    ``ranks(n)`` gives the 1-based ranks wanted from a group of ``n``
+    non-null values. Returns ``{group: (n, stats)}``, ``stats`` aligned
+    with ``ranks(n)``; a group whose column is all NULL maps to ``(0, [])``
+    and ``ranks`` is not called for it. NULL values are excluded; a NULL
+    group is its own group, keyed ``None`` (SQL GROUP BY). Raises
+    ValueError on a rank outside ``1..n``."""
+    groups = exchange.block_groups(ds)
+    acc: dict = {}  # group → [min, max, n]
+    for t in ray.get([_stats_task.remote(g, group_col, col) for g in groups]):
+        if t is None:
+            continue
+        gs = [None] * t.num_rows if group_col is None else t.column(group_col).to_pylist()
+        for g, mn, mx, n in zip(
+            gs,
+            t.column(f"{col}_min").to_pylist(),
+            t.column(f"{col}_max").to_pylist(),
+            t.column(f"{col}_count").to_pylist(),
+        ):
+            cur = acc.setdefault(g, [mn, mx, 0])
+            if n:
+                cur[0] = mn if not cur[2] else min(cur[0], mn)
+                cur[1] = mx if not cur[2] else max(cur[1], mx)
+                cur[2] += n
+
+    gvals = list(acc)
+    wanted: dict = {}  # group → (n, ranks)
+    sel: dict = {}  # (group index, rank) → _Select
+    for gi, g in enumerate(gvals):
+        lo, hi, n = acc[g]
+        rs = [int(r) for r in ranks(n)] if n else []
+        for r in rs:
+            if not 1 <= r <= n:
+                raise ValueError(f"rank {r} outside 1..{n} for group {g!r}")
+            sel.setdefault((gi, r), _Select(lo, hi, r))
+        wanted[g] = (n, rs)
+
+    while True:
+        active = [(gi, s) for (gi, _), s in sel.items() if s.result is None]
+        if not active:
+            break
+        plan_of: dict = {}  # (group index, lo, hi) → plan index
+        for gi, s in active:
+            plan_of.setdefault((gi, s.lo, s.hi), len(plan_of))
+        plans = [
+            (gi, lo, hi, max(0, (hi - lo).bit_length() - bits)) for gi, lo, hi in plan_of
+        ]
+        keys, counts = _histogram_round(groups, group_col, col, gvals, plans, bits)
+        cut = np.searchsorted(
+            keys >> np.uint64(bits), np.arange(len(plans) + 1, dtype=np.uint64)
+        )
+        buckets = (keys & np.uint64((1 << bits) - 1)).astype(np.int64)
+        cums = [np.cumsum(counts[a:z]) for a, z in zip(cut[:-1], cut[1:])]
+        for gi, s in active:
+            p = plan_of[(gi, s.lo, s.hi)]
+            _, lo, hi, shift = plans[p]
+            cum = cums[p]
+            i = int(np.searchsorted(cum, s.k_rem))
+            before = int(cum[i - 1]) if i else 0
+            b = int(buckets[cut[p] + i])
+            if shift == 0:
+                s.result = KthStats(
+                    value=lo + b,
+                    n_less=s.n_less + before,
+                    n_equal=int(counts[cut[p] + i]),
+                    n_total=acc[gvals[gi]][2],
+                )
+            else:
+                s.n_less += before
+                s.k_rem -= before
+                s.lo = lo + (b << shift)
+                s.hi = min(hi, s.lo + (1 << shift) - 1)
+
+    return {
+        g: (n, [sel[(gi, r)].result for r in rs])
+        for gi, (g, (n, rs)) in enumerate(wanted.items())
+    }
 
 
 def kth_stats(
     ds: rd.Dataset, col: str, k: int, *, descending: bool = False, bits: int = 16
 ) -> KthStats:
     """Exact kth-smallest (1-based; kth-largest when ``descending``) non-null
-    value of ``ds[col]`` plus tie counts, via distributed radix refinement.
+    value of ``ds[col]`` plus tie counts, via ``grouped_kth`` over one group.
     ``ds`` should be a cheap projection (ideally materialized when the
-    caller runs several passes).  ``n_less``/``n_equal`` always count from
-    the ASCENDING side (callers get n_greater = n_total - n_less - n_equal).
+    caller runs several selections).  ``n_less``/``n_equal`` always count
+    from the ASCENDING side (callers get n_greater = n_total - n_less -
+    n_equal).
 
     Raises ValueError on an empty column or out-of-range k.
     """
     if k < 1:
         raise ValueError(f"k must be ≥ 1, got {k}")
-    lo, hi, n = _scan_stats(ds, col)
+
+    def rank(n: int) -> list[int]:
+        if k > n:
+            raise ValueError(f"k={k} exceeds non-null count {n}")
+        return [n - k + 1 if descending else k]  # kth largest == (n-k+1)th smallest
+
+    n, stats = grouped_kth(ds, None, col, rank, bits=bits).get(None, (0, []))
     if n == 0:
         raise ValueError(f"column {col!r} has no non-null values")
-    if k > n:
-        raise ValueError(f"k={k} exceeds non-null count {n}")
-    if descending:
-        k = n - k + 1  # kth largest == (n - k + 1)th smallest
-    return _refine(ds, col, lo, hi, n, k, bits)
-
-
-def _refine(
-    ds: rd.Dataset, col: str, lo: int, hi: int, n: int, k: int, bits: int
-) -> KthStats:
-    """Radix-refinement loop from a known (lo, hi, n) scan; k is ascending."""
-    k_rem = k
-    n_less_outside = 0  # values < lo across the whole column
-    nbuckets = 1 << bits
-    while True:
-        span = hi - lo + 1
-        if span <= nbuckets:
-            counts = _histogram_pass(ds, col, lo, hi, 0, span)
-        else:
-            shift = max(0, math.ceil(math.log2(span)) - bits)
-            counts = _histogram_pass(
-                ds, col, lo, hi, shift, ((span - 1) >> shift) + 1
-            )
-        cum = np.cumsum(counts)
-        b = int(np.searchsorted(cum, k_rem))
-        before = int(cum[b - 1]) if b > 0 else 0
-        if span <= nbuckets:
-            value = lo + b
-            return KthStats(
-                value=int(value),
-                n_less=n_less_outside + before,
-                n_equal=int(counts[b]),
-                n_total=n,
-            )
-        width = 1 << shift
-        n_less_outside += before
-        k_rem -= before
-        lo, hi = lo + b * width, min(hi, lo + b * width + width - 1)
-
-
-def quantiles_disc(
-    ds: rd.Dataset,
-    col: str,
-    fracs: "tuple[tuple[int, int], ...]",
-    *,
-    bits: int = 16,
-) -> "list[tuple[int, int, int, KthStats]]":
-    """Exact discrete quantiles: for each (num, den) fraction, the
-    k = ceil(n·num/den)-th smallest value (lower discrete quantile — the
-    SQL ``row_number ... WHERE rk = ceil(n·q)`` contract).  ONE min/max/n
-    scan shared across all fractions, then one radix refinement each.
-    Returns [(num, den, k, KthStats)], empty list when the column has no
-    non-null values (a zero-row corpus is the caller's typed-empty case,
-    not an error)."""
-    lo, hi, n = _scan_stats(ds, col)
-    if n == 0:
-        return []
-    out = []
-    for num, den in fracs:
-        k = (n * num + den - 1) // den  # ceil
-        if k < 1 or k > n:
-            raise ValueError(f"fraction {num}/{den} gives out-of-range k={k}")
-        out.append((num, den, k, _refine(ds, col, lo, hi, n, k, bits)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Grouped radix select: per-group exact quantiles in shared passes
-# ---------------------------------------------------------------------------
-
-
-def grouped_quantiles_disc(
-    ds: rd.Dataset,
-    group_col: str,
-    col: str,
-    fracs: "tuple[tuple[int, int], ...]",
-    *,
-    bits: int = 16,
-) -> "dict[object, list[tuple[int, int, int, KthStats]]]":
-    """Per-GROUP exact discrete quantiles with SHARED refinement passes:
-    every (group, fraction) pair refines its own value interval, but each
-    refinement round is ONE scan that histograms all still-active pairs at
-    once — total scans = 1 (stats) + max-rounds (≤4 for full int64, 1–2
-    realistically), independent of how many groups or quantiles are asked.
-
-    This removes the documented per-group limitation of exact order
-    statistics (``seq_ntok_percentiles`` ships a whole group to one task):
-    per pair the driver holds a ≤2^bits-int histogram and the per-batch
-    partial is |active pairs| bincounts over that group's subset.  NULL
-    ``col`` values are excluded; a NULL group is its own group (SQL GROUP
-    BY semantics).  Groups whose column is all-NULL are absent from the
-    result (the caller's typed-NULL case)."""
-    import pandas as pd
-
-    # ---- pass 1: per-group (min, max, n) ----
-    def stats_partial(t: pa.Table) -> pa.Table:
-        # drop null VALUES at the Arrow level first: to_pandas on a
-        # null-bearing int64 column yields float64 (NOT nullable Int64) and
-        # silently rounds values above 2^53
-        t = t.filter(pc.is_valid(t.column(col)))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "g": pa.array([], type=t.schema.field(group_col).type),
-                    "mn": pa.array([], type=pa.int64()),
-                    "mx": pa.array([], type=pa.int64()),
-                    "n": pa.array([], type=pa.int64()),
-                }
-            )
-        df = pd.DataFrame(
-            {
-                "g": t.column(group_col).to_pandas(),
-                "v": t.column(col).to_numpy(zero_copy_only=False).astype(np.int64),
-            }
-        )
-        agg = df.groupby("g", dropna=False)["v"].agg(["min", "max", "count"]).reset_index()
-        return pa.table(
-            {
-                "g": pa.array(agg["g"], type=t.schema.field(group_col).type),
-                "mn": pa.array(agg["min"].astype(np.int64)),
-                "mx": pa.array(agg["max"].astype(np.int64)),
-                "n": pa.array(agg["count"].astype(np.int64)),
-            }
-        )
-
-    acc: dict = {}
-    for b in ds.map_batches(stats_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for g, mn, mx, n in zip(
-            b.column("g").to_pylist(),
-            b.column("mn").to_pylist(),
-            b.column("mx").to_pylist(),
-            b.column("n").to_pylist(),
-        ):
-            cur = acc.get(g)
-            acc[g] = (
-                (mn, mx, n)
-                if cur is None
-                else (min(cur[0], mn), max(cur[1], mx), cur[2] + n)
-            )
-
-    # ---- active (group, frac) states ----
-    nbuckets = 1 << bits
-    states = []  # [group, num, den, k, lo, hi, n, k_rem, n_less_outside, result]
-    for g, (mn, mx, n) in acc.items():
-        for num, den in fracs:
-            k = (n * num + den - 1) // den
-            if k < 1 or k > n:
-                raise ValueError(f"fraction {num}/{den} gives out-of-range k={k}")
-            states.append([g, num, den, k, mn, mx, n, k, 0, None])
-
-    while any(s[9] is None for s in states):
-        active = [s for s in states if s[9] is None]
-        # snapshot (lo, hi, shift, nb) per active state for this round's scan
-        plans = []
-        for s in active:
-            lo, hi = s[4], s[5]
-            span = hi - lo + 1
-            if span <= nbuckets:
-                shift, nb = 0, span
-            else:
-                shift = max(0, math.ceil(math.log2(span)) - bits)
-                nb = ((span - 1) >> shift) + 1
-            plans.append((s[0], lo, hi, shift, nb))
-
-        def hist_partial(t: pa.Table, _plans=tuple(plans)) -> pa.Table:
-            # drop null values at the Arrow level (the stats_partial
-            # precision note), then biased-uint64 buckets (the
-            # _histogram_pass overflow note)
-            t = t.filter(pc.is_valid(t.column(col)))
-            gcol = t.column(group_col).to_pandas()
-            v = t.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
-            vu_all = v.view(np.uint64) ^ np.uint64(_BIAS)
-            # factorize the group column ONCE per batch (nulls → -1), then
-            # each plan's member rows come from one code-sorted index slice —
-            # O(batch log batch + Σ|subset|) instead of one full-column
-            # equality scan per active (group, fraction) pair (ADVICE r4:
-            # the old shape degraded sharply for high-cardinality groups)
-            codes, uniques = pd.factorize(gcol, use_na_sentinel=True)
-            gmap = {u: i for i, u in enumerate(uniques)}
-            order = np.argsort(codes, kind="stable")
-            sc = codes[order]
-            out_sid, out_bucket, out_cnt = [], [], []
-            for sid, (g, lo, hi, shift, nb) in enumerate(_plans):
-                c = -1 if g is None or g is pd.NA else gmap.get(g)
-                if c is None:
-                    continue
-                a = int(np.searchsorted(sc, c, side="left"))
-                z = int(np.searchsorted(sc, c, side="right"))
-                if a == z:
-                    continue
-                vu = vu_all[order[a:z]]
-                ulo, uhi = np.uint64(lo + _BIAS), np.uint64(hi + _BIAS)
-                vu = vu[(vu >= ulo) & (vu <= uhi)]
-                if not vu.size:
-                    continue
-                counts = np.bincount(
-                    ((vu - ulo) >> np.uint64(shift)).astype(np.int64), minlength=nb
-                )
-                nz = np.flatnonzero(counts)
-                out_sid.extend([sid] * len(nz))
-                out_bucket.extend(nz.tolist())
-                out_cnt.extend(counts[nz].tolist())
-            return pa.table(
-                {
-                    "sid": pa.array(out_sid, type=pa.int64()),
-                    "bucket": pa.array(out_bucket, type=pa.int64()),
-                    "cnt": pa.array(out_cnt, type=pa.int64()),
-                }
-            )
-
-        sums: dict = {}
-        for b in ds.map_batches(hist_partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        ):
-            for sid, bucket, cnt in zip(
-                b.column("sid").to_pylist(),
-                b.column("bucket").to_pylist(),
-                b.column("cnt").to_pylist(),
-            ):
-                key = (sid, bucket)
-                sums[key] = sums.get(key, 0) + cnt
-
-        for sid, s in enumerate(active):
-            g, lo, hi, shift, nb = plans[sid]
-            counts = np.zeros(nb, dtype=np.int64)
-            for (sd, bucket), cnt in sums.items():
-                if sd == sid:
-                    counts[bucket] = cnt
-            cum = np.cumsum(counts)
-            bkt = int(np.searchsorted(cum, s[7]))
-            before = int(cum[bkt - 1]) if bkt > 0 else 0
-            if shift == 0:
-                s[9] = KthStats(
-                    value=int(lo + bkt),
-                    n_less=s[8] + before,
-                    n_equal=int(counts[bkt]),
-                    n_total=s[6],
-                )
-            else:
-                width = 1 << shift
-                s[8] += before
-                s[7] -= before
-                s[4] = lo + bkt * width
-                s[5] = min(hi, lo + bkt * width + width - 1)
-
-    out: dict = {}
-    for g, num, den, k, _lo, _hi, _n, _kr, _nl, st in states:
-        out.setdefault(g, []).append((num, den, k, st))
-    return out
+    return stats[0]
 
 
 def kth_with_tiecut(

@@ -1,11 +1,16 @@
-"""seq_length_outliers: quantile-disc parity and edge-case coverage.
+"""seq_length_outliers and seq_ntok_percentiles: rank-rule parity and
+edge-case coverage.
 
-The operator's exactness claim is that ``_disc_quantiles`` (thresholds from
-the per-(source, n_tok) count merge) reproduces DuckDB ``quantile_disc``
-bit-for-bit — Hypothesis drives random count tables through both. The
-end-to-end flag pass is covered at the sf gates; here a planted direct-path
-corpus pins NULL handling and the tie/rank boundaries.
+The exactness claims are that ``grouped_kth`` at ``_disc_rank`` reproduces
+DuckDB ``quantile_disc``, and that the values at ``_pct_ranks`` through
+``_pct_value`` reproduce DuckDB ``round(percentile_cont(q), 6)`` —
+Hypothesis drives random value lists through both. A planted corpus runs
+the per-source quantile queries against their ``oracle_sql()`` entries on
+the multi-round path (a span above 2^16), and planted direct-path corpora
+pin NULL handling and the tie/rank boundaries.
 """
+
+import re
 
 import duckdb
 import numpy as np
@@ -16,39 +21,138 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ray.data as rd
+
+from product_quality_check_ray.core.rounding import round_half_away
 from product_quality_check_ray.pipelines.seq_queries import (
     OUTLIER_Q_HI,
     OUTLIER_Q_LO,
-    _disc_quantiles,
+    _disc_rank,
+    _pct_ranks,
+    _pct_value,
     seq_length_outliers,
+    seq_ntok_percentiles,
+    seq_source_exact_quantiles,
+)
+from product_quality_check_ray.state.orderstats import grouped_kth
+
+_counted = st.lists(
+    st.tuples(st.integers(min_value=-50, max_value=50), st.integers(1, 5)),
+    min_size=1,
+    max_size=30,
 )
 
 
-@given(
-    vals=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=50), st.integers(1, 5)),
-        min_size=1,
-        max_size=30,
-    ),
-    qs=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4),
-)
-@settings(max_examples=60, deadline=None)
-def test_disc_quantiles_match_duckdb(vals, qs):
-    counts = (
-        pd.DataFrame({"n_tok": [v for v, _ in vals], "n": [c for _, c in vals]})
-        .groupby("n_tok", as_index=False)["n"]
-        .sum()
+def _expand(vals) -> np.ndarray:
+    return np.repeat(
+        np.array([v for v, _ in vals], dtype=np.int64),
+        np.array([c for _, c in vals], dtype=np.int64),
     )
-    counts["source"] = "s"
-    th = _disc_quantiles(counts, tuple(qs))["s"]
-    expanded = np.repeat(
-        counts["n_tok"].to_numpy(np.int64), counts["n"].to_numpy(np.int64)
-    )
+
+
+@given(vals=_counted, qs=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_disc_quantiles_match_duckdb(ray_session, vals, qs):
+    x = _expand(vals)
+    ds = rd.from_arrow(pa.table({"x": x}))
+    n, stats = grouped_kth(ds, None, "x", lambda n: [_disc_rank(n, q) for q in qs])[None]
+    assert n == len(x)
     con = duckdb.connect()
-    con.register("t", pd.DataFrame({"x": expanded}))
-    for q, mine in zip(qs, th):
+    con.register("t", pd.DataFrame({"x": x}))
+    for q, mine in zip(qs, stats):
         want = con.sql(f"SELECT quantile_disc(x, {q!r}) FROM t").fetchone()[0]
-        assert mine == want, (q, mine, want, expanded.tolist())
+        assert mine.value == want, (q, mine, want, x.tolist())
+
+
+@given(vals=_counted, qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_percentile_ranks_match_duckdb(ray_session, vals, qs):
+    x = _expand(vals)
+    ds = rd.from_arrow(pa.table({"x": x}))
+    n, stats = grouped_kth(
+        ds, None, "x", lambda n: [r for q in qs for r in _pct_ranks(n, q)]
+    )[None]
+    con = duckdb.connect()
+    con.register("t", pd.DataFrame({"x": x}))
+    for i, q in enumerate(qs):
+        mine = round_half_away(
+            _pct_value(n, q, stats[2 * i].value, stats[2 * i + 1].value), 6
+        )
+        assert mine == round_half_away(np.percentile(x, 100 * q, method="linear"), 6)
+        want = con.sql(
+            f"SELECT round(percentile_cont({q!r}) WITHIN GROUP (ORDER BY x), 6) FROM t"
+        ).fetchone()[0]
+        assert mine == want, (q, mine, want, x.tolist())
+
+
+def _planted_corpus(d) -> str:
+    """Three fragments: a source whose n_tok is all NULL, a one-row source,
+    a NULL source, negative n_tok, and a source spanning values near 1 and
+    near 10^6 (> 2^16: more than one refinement round)."""
+    rng = np.random.default_rng(9)
+    wide = np.concatenate([rng.integers(1, 200, 150), rng.integers(999_000, 1_000_200, 150)])
+    rows = (
+        [("w%03d" % i, "wide", int(v)) for i, v in enumerate(wide)]
+        + [("wneg", "wide", -7), ("wnull", "wide", None)]
+        + [("dead1", "dead", None), ("dead2", "dead", None)]
+        + [("solo", "one", 42)]
+        + [("n%02d" % i, None, int(v)) for i, v in enumerate(rng.integers(-30, 90, 60))]
+        + [("neg%d" % i, "neg", -i) for i in range(1, 9)]
+    )
+    d.mkdir()
+    for f in range(3):
+        part = rows[f::3]
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": [r[0] for r in part],
+                    "tokens": pa.array([[1, 2]] * len(part), type=pa.list_(pa.int32())),
+                    "n_tok": pa.array([r[2] for r in part], type=pa.int32()),
+                    "source": pa.array([r[1] for r in part], type=pa.string()),
+                }
+            ),
+            d / f"frag-{f:03d}.parquet",
+        )
+    return str(d)
+
+
+def _rows(df: pd.DataFrame) -> list:
+    cols = sorted(df.columns)
+    out = [
+        tuple(None if pd.isna(v) else (v if isinstance(v, str) else float(v)) for v in r)
+        for r in df[cols].itertuples(index=False)
+    ]
+    return sorted(out, key=lambda r: tuple((v is None, v if v is not None else 0) for v in r))
+
+
+def test_planted_corpus_matches_oracles(tmp_path, ray_session):
+    import __ray_entry__ as e
+
+    d = _planted_corpus(tmp_path / "corpus")
+    con = duckdb.connect()
+
+    def oracle(name):
+        sql = re.sub(
+            r"read_parquet\('[^']*'\)", f"read_parquet('{d}/frag-*.parquet')",
+            e.oracle_sql()[name],
+        )
+        return con.sql(sql).df()
+
+    pct = seq_ntok_percentiles(d).to_pandas()
+    assert pct["source"].tolist() == ["dead", "neg", "one", "wide", None]
+    assert pct.loc[0, ["p50", "p90", "p99"]].isna().all()
+    want = oracle("seq_ntok_percentiles")
+    assert _rows(pct) == _rows(want)
+
+    out = seq_length_outliers(d).to_pandas()
+    assert set(out["side"]) == {"low", "high"} and "dead" not in set(out["source"])
+    want = oracle("seq_length_outliers")
+    assert len(out) == len(want) and _rows(out) == _rows(want)
+
+    q = seq_source_exact_quantiles(d).to_pandas()
+    assert set(q["source"].dropna()) == {"wide", "one", "neg"} and q["source"].isna().any()
+    want = oracle("seq_source_exact_quantiles")
+    assert _rows(q) == _rows(want)
 
 
 def test_null_groups_and_ties(tmp_path, ray_session):

@@ -1,7 +1,8 @@
 """state/orderstats radix select: differential vs numpy sort.
 
-Covers wide spans (multi-pass refinement), heavy ties, all-equal columns,
-negative values, nulls, descending ranks, and out-of-range errors.
+Covers wide spans (multi-round refinement), heavy ties, all-equal columns,
+negative values, nulls, descending ranks, out-of-range errors, and a
+round's worker-summed partial being independent of the block split.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import ray.data as rd
 
-from product_quality_check_ray.state.orderstats import kth_stats
+from product_quality_check_ray.state.orderstats import grouped_kth, kth_stats
 
 
 def _ds(vals):
@@ -145,10 +146,13 @@ def test_seq_ntok_exact_quantiles_matches_numpy(ray_session):
 
 
 def test_quantiles_disc_all_null_column(ray_session):
-    from product_quality_check_ray.state.orderstats import quantiles_disc
-
+    """An all-NULL column is one group with n = 0 (ranks never asked); an
+    empty Dataset has no group at all."""
     ds = _ds([None, None])
-    assert quantiles_disc(ds, "v", ((1, 2),)) == []
+    assert grouped_kth(ds, None, "v", lambda n: [1]) == {None: (0, [])}
+    assert grouped_kth(_ds([]), None, "v", lambda n: [1]) == {}
+    with pytest.raises(ValueError):
+        grouped_kth(_ds([4, 5]), None, "v", lambda n: [n + 1])
 
 
 def test_ccnet_buckets_tercile_counts(ray_session):
@@ -200,52 +204,60 @@ def test_ccnet_buckets_degenerate_ties_and_none(ray_session, tmp_path):
     assert list(ranked.index[ranked.bucket == "tail"]) == list(range(k2, 29))
 
 
+def _fracs_ranks(fracs):
+    return lambda n: [(n * num + den - 1) // den for num, den in fracs]
+
+
 def test_grouped_quantiles_matches_numpy(ray_session):
     """Grouped radix select vs per-group numpy sort, including a NULL group,
-    a null-bearing value column, and a wide-span group (multi-round)."""
+    a null-bearing value column, an all-NULL group, a wide-span group and a
+    full-int64-span group (multi-round), at bits=16 and at bits=4 (many
+    rounds)."""
     import ray.data as rd
 
-    from product_quality_check_ray.state.orderstats import grouped_quantiles_disc
-
     rng = np.random.default_rng(3)
-    groups = ["a"] * 5000 + ["b"] * 300 + [None] * 200 + ["c"] * 1
+    i64 = np.iinfo(np.int64)
+    groups = ["a"] * 5000 + ["b"] * 300 + [None] * 200 + ["c"] * 1 + ["e"] * 6
     vals = np.concatenate(
         [
             rng.integers(0, 500, 5000),
             rng.integers(-(10**12), 10**12, 300),
             rng.integers(10, 20, 200),
             [7],
+            [i64.min, i64.max, 0, -1, i64.max, i64.min + 1],
         ]
     ).astype(np.int64)
     vlist = vals.tolist()
     vlist[17] = None  # a null value inside group 'a'
     t = pa.table(
         {
-            "g": pa.array(groups, type=pa.string()),
-            "v": pa.array(vlist, type=pa.int64()),
+            "g": pa.array(groups + ["d", "d"], type=pa.string()),
+            "v": pa.array(vlist + [None, None], type=pa.int64()),
         }
     )
     ds = rd.from_arrow(t).repartition(11).materialize()
     fracs = ((1, 2), (9, 10), (99, 100))
-    got = grouped_quantiles_disc(ds, "g", "v", fracs)
-    # normalize pandas NaN group label
-    got = {
-        (None if (isinstance(k, float) and np.isnan(k)) else k): v
-        for k, v in got.items()
-    }
     by_g = {}
     for g, v, orig in zip(groups, vals, vlist):
         if orig is None:
             continue
         by_g.setdefault(g, []).append(v)
-    assert set(got) == set(by_g)
-    for g, arr in by_g.items():
-        s = np.sort(arr)
-        n = len(s)
-        for (num, den, k, st) in got[g]:
-            assert k == (n * num + den - 1) // den
-            assert st.value == int(s[k - 1]), (g, num, den)
-            assert st.n_total == n
+    for bits in (16, 4):
+        got = grouped_kth(ds, "g", "v", _fracs_ranks(fracs), bits=bits)
+        assert None in got  # the NULL group is keyed None, not a NaN label
+        assert got.pop("d") == (0, [])  # all-NULL group: n = 0
+        assert set(got) == set(by_g)
+        for g, arr in by_g.items():
+            s = np.sort(arr)
+            n = len(s)
+            gn, stats = got[g]
+            assert gn == n and len(stats) == len(fracs)
+            for (num, den), st in zip(fracs, stats):
+                k = (n * num + den - 1) // den
+                assert st.value == int(s[k - 1]), (bits, g, num, den)
+                assert st.n_less == int((s < s[k - 1]).sum())
+                assert st.n_equal == int((s == s[k - 1]).sum())
+                assert st.n_total == n
 
 
 def test_kth_stats_full_int64_span_no_overflow(ray_session):
@@ -262,12 +274,10 @@ def test_kth_stats_full_int64_span_no_overflow(ray_session):
 
 
 def test_grouped_quantiles_precision_above_2_53_with_nulls(ray_session):
-    """A null VALUE in the same batch as >2^53 values: the old to_pandas
-    float64 round-trip collapsed 2^62 and 2^62+3; Arrow-level null drop
-    must keep them distinct."""
+    """A null VALUE in the same batch as >2^53 values: a float64 round trip
+    collapses 2^62 and 2^62+3; the Arrow-level null drop must keep them
+    distinct."""
     import ray.data as rd
-
-    from product_quality_check_ray.state.orderstats import grouped_quantiles_disc
 
     t = pa.table(
         {
@@ -276,11 +286,10 @@ def test_grouped_quantiles_precision_above_2_53_with_nulls(ray_session):
         }
     )
     ds = rd.from_arrow(t).materialize()
-    got = grouped_quantiles_disc(ds, "g", "v", ((1, 2), (99, 100)))
-    (f1, f2) = got["x"]
-    assert f1[3].value == 2**62 + 3  # ceil(3/2)=2nd of [2^62, 2^62+3, 2^62+3]
-    assert f2[3].value == 2**62 + 3
-    assert f1[3].n_total == 3
+    n, (f1, f2) = grouped_kth(ds, "g", "v", _fracs_ranks(((1, 2), (99, 100))))["x"]
+    assert f1.value == 2**62 + 3  # ceil(3/2)=2nd of [2^62, 2^62+3, 2^62+3]
+    assert f2.value == 2**62 + 3
+    assert f1.n_total == 3 and n == 3
     # and the grouped wide-span case (the overflow regression, per group)
     t2 = pa.table(
         {
@@ -289,9 +298,49 @@ def test_grouped_quantiles_precision_above_2_53_with_nulls(ray_session):
         }
     )
     ds2 = rd.from_arrow(t2).materialize()
-    got2 = grouped_quantiles_disc(ds2, "g", "v", ((1, 2),))
-    assert got2["a"][0][3].value == 5
-    assert got2["b"][0][3].value == -3
+    for bits in (16, 4):
+        got2 = grouped_kth(ds2, "g", "v", _fracs_ranks(((1, 2),)), bits=bits)
+        assert got2["a"][1][0].value == 5
+        assert got2["b"][1][0].value == -3
+
+
+def test_round_partial_independent_of_block_count(ray_session, monkeypatch):
+    """A round's summed partial — the (key, count) arrays the driver
+    receives — is identical for the same rows at 1, 7 and 64 blocks: the
+    per-block partials are summed worker-side, so driver ingress is one
+    row per (plan, bucket) whatever the block count."""
+    import ray.data as rd
+
+    from product_quality_check_ray.core import exchange
+    from product_quality_check_ray.state import orderstats
+
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 2)
+    rng = np.random.default_rng(5)
+    g = rng.choice(["a", "b", "c"], 6400).tolist()
+    g[:40] = [None] * 40
+    v = rng.integers(-300, 300, 6400)
+    t = pa.table({"g": pa.array(g, type=pa.string()), "v": pa.array(v)})
+    gvals = ["a", "b", "c", None]
+    # an overlapping narrower second plan for 'a'; 'c' has no plan
+    plans = [(0, -300, 299, 4), (0, -20, 27, 0), (1, -300, 299, 4), (3, -300, 299, 4)]
+    outs = []
+    for blocks in (1, 7, 64):
+        ds = rd.from_arrow(t).repartition(blocks).materialize()
+        groups = exchange.block_groups(ds)
+        assert len(groups) == (blocks + 1) // 2
+        outs.append(orderstats._histogram_round(groups, "g", "v", gvals, plans, 6))
+    keys, counts = outs[0]
+    for k, c in outs[1:]:
+        assert k.tolist() == keys.tolist() and c.tolist() == counts.tolist()
+    want = {}
+    ga = np.array(g, dtype=object)
+    for p, (gi, lo, hi, shift) in enumerate(plans):
+        m = (ga == gvals[gi]) if gvals[gi] is not None else np.array([x is None for x in g])
+        sel = v[m & (v >= lo) & (v <= hi)]
+        for b, c in zip(*np.unique((sel - lo) >> shift, return_counts=True)):
+            want[(p << 6) + int(b)] = int(c)
+    assert dict(zip(keys.tolist(), counts.tolist())) == want
+    assert len(keys) <= len(plans) << 6
 
 
 def test_kth_with_tiecut_semantics(ray_session):
