@@ -94,6 +94,15 @@ def segment_sum(keys_sorted: np.ndarray, counts: np.ndarray) -> tuple:
     return keys_sorted[starts], np.add.reduceat(counts, starts)
 
 
+def merge_counts(parts) -> tuple:
+    """One range's (key, count) partials merged into sorted distinct keys
+    and their totals."""
+    keys = np.concatenate([p[0] for p in parts])
+    counts = np.concatenate([p[1] for p in parts])
+    order = np.argsort(keys, kind="stable")
+    return segment_sum(keys[order], counts[order])
+
+
 def map_ranges(map_task, inputs: list, ranges: int, *args) -> list:
     """``map_task(input, ranges, *args)`` per input, with
     ``num_returns=ranges``: one list of per-range partial refs per input."""

@@ -503,6 +503,7 @@ def seq_sketch_report(sf_dir: str) -> pa.Table:
 
 SKETCH_HLL_BOUND = 0.05   # |HLL est − exact| ≤ 5% of exact (≈3σ at p=12)
 SKETCH_TD_RANK_EPS = 0.05  # t-digest quantile within a ±5% rank window
+PERCENTILES: tuple[tuple[str, float], ...] = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
 
 
 @ray.remote
@@ -595,14 +596,12 @@ def seq_sketch_accuracy(sf_dir: str) -> pa.Table:
     )
     distinct_by_hash = _distinct_by_source(pair_ds)
 
-    qs = (("p50_ok", 0.5), ("p90_ok", 0.9), ("p99_ok", 0.99))
-
     def window_ranks(n: int) -> list[int]:
         # the values at 0-based ranks floor((q−ε)(n−1)) and ceil((q+ε)(n−1)),
         # clamped to the column, as 1-based ranks
         return [
             min(max(r, 0), n - 1) + 1
-            for _, q in qs
+            for _, q in PERCENTILES
             for r in (
                 math.floor((q - SKETCH_TD_RANK_EPS) * (n - 1)),
                 math.ceil((q + SKETCH_TD_RANK_EPS) * (n - 1)),
@@ -631,13 +630,13 @@ def seq_sketch_accuracy(sf_dir: str) -> pa.Table:
         )
         n, window = exact.get(None if s == "\x00null" else s, (0, []))
         q_ok = {}
-        for i, (name, q) in enumerate(qs):
+        for i, (name, q) in enumerate(PERCENTILES):
             if not n:
-                q_ok[name] = True
+                q_ok[f"{name}_ok"] = True
                 continue
             lo, hi = window[2 * i].value, window[2 * i + 1].value
             est = a["td"].quantile(q)
-            q_ok[name] = (lo - 1e-9) <= est <= (hi + 1e-9)
+            q_ok[f"{name}_ok"] = (lo - 1e-9) <= est <= (hi + 1e-9)
         rows.append(
             {
                 "source": None if s == "\x00null" else s,
@@ -653,9 +652,7 @@ def seq_sketch_accuracy(sf_dir: str) -> pa.Table:
                 ("source", pa.string()),
                 ("rows", pa.int64()),
                 ("hll_ok", pa.bool_()),
-                ("p50_ok", pa.bool_()),
-                ("p90_ok", pa.bool_()),
-                ("p99_ok", pa.bool_()),
+                *((f"{name}_ok", pa.bool_()) for name, _ in PERCENTILES),
             ]
         ),
     )
@@ -754,9 +751,6 @@ def seq_token_topk(sf_dir: str, k: int = 100) -> pa.Table:
             "n": pa.array(counts[order].astype(np.int64)),
         }
     )
-
-
-PERCENTILES: tuple[tuple[str, float], ...] = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
 
 
 def _pct_ranks(n: int, q: float) -> tuple[int, int]:

@@ -92,26 +92,17 @@ def _map_fragment(paths: list[str], ranges: int) -> tuple:
     return _split_counts(h, ranges)
 
 
-def _merge_counts(parts) -> tuple:
-    """One range's (hash, count) partials merged into sorted distinct
-    hashes and their totals."""
-    vs = np.concatenate([p[0] for p in parts])
-    cs = np.concatenate([p[1] for p in parts])
-    order = np.argsort(vs, kind="stable")
-    return exchange.segment_sum(vs[order], cs[order])
-
-
 @ray.remote
 def _combine_range(*parts) -> tuple:
     """Wave-level combine for one hash range (the module docstring's
     two-level reduce): ONE sorted, deduplicated (hash, count) pair WITHOUT
     the ≥2 filter."""
-    return _merge_counts(parts)
+    return exchange.merge_counts(parts)
 
 
 @ray.remote
 def _reduce_range(max_count: "int | None", *parts) -> np.ndarray:
-    vs, totals = _merge_counts(parts)
+    vs, totals = exchange.merge_counts(parts)
     keep = totals > 1
     if max_count is not None:
         # hot-key drop: values over the cap are excluded ENTIRELY (the

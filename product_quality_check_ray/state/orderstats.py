@@ -22,8 +22,9 @@ Dataflow, per ``exchange.block_groups`` group of the Dataset's blocks:
    histogram plan; one map task per block group counts its values per
    key ``plan·2^bits + bucket`` and splits the counts by the key's
    ``hash_keys`` hash; ``exchange.run`` sums each hash range's partials
-   with ``segment_sum``. The driver receives each (plan, bucket) key once:
-   at most plans × 2^bits rows, whatever the block count.
+   with ``exchange.merge_counts`` (a ``segment_sum``). The driver
+   receives each (plan, bucket) key once: at most plans × 2^bits rows,
+   whatever the block count.
 """
 
 from __future__ import annotations
@@ -110,10 +111,7 @@ def _hist_task(
 
 @ray.remote
 def _sum_range(*parts) -> tuple:
-    keys = np.concatenate([k for k, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    order = np.argsort(keys, kind="stable")
-    return exchange.segment_sum(keys[order], counts[order])
+    return exchange.merge_counts(parts)
 
 
 def _histogram_round(
@@ -126,10 +124,7 @@ def _histogram_round(
             map_args=(group_col, col, gvals, plans, bits),
         )
     )
-    keys = np.concatenate([k for k, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    order = np.argsort(keys)
-    return keys[order], counts[order]
+    return exchange.merge_counts(parts)  # ranges hold disjoint keys
 
 
 class _Select:

@@ -51,7 +51,7 @@ def _expand(vals) -> np.ndarray:
 
 
 @given(vals=_counted, qs=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_disc_quantiles_match_duckdb(ray_session, vals, qs):
     x = _expand(vals)
     ds = rd.from_arrow(pa.table({"x": x}))
