@@ -807,6 +807,18 @@ def seq_ntok_percentiles(sf_dir: str) -> pa.Table:
 # quantile-band tails for seq_length_outliers (0.5% each side)
 OUTLIER_Q_LO = 0.005
 OUTLIER_Q_HI = 0.995
+# seq_length_outliers' output; explicit, so a block that flags nothing has
+# the same column types as one that does
+_OUTLIER_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.string()),
+        ("source", pa.string()),
+        ("n_tok", pa.int64()),
+        ("lo", pa.int64()),
+        ("hi", pa.int64()),
+        ("side", pa.string()),
+    ]
+)
 
 
 def _disc_rank(n: int, q: float) -> int:
@@ -832,7 +844,8 @@ def seq_length_outliers(
     comparisons, so the SQL oracle (``quantile_disc`` + join) must agree
     bit-for-bit.
 
-    Output: (doc_id, source, n_tok, lo, hi, side) — side is 'low'/'high'.
+    Output: (doc_id, source, n_tok, lo, hi, side) — side is 'low'/'high';
+    every block carries ``_OUTLIER_SCHEMA``, the ones that flag nothing too.
     NULL-n_tok rows are never flagged (the null check owns those).
     """
     from ..state.orderstats import grouped_kth
@@ -843,7 +856,7 @@ def seq_length_outliers(
     )
     th = {g: (st[0].value, st[1].value) for g, (n, st) in got.items() if n}
 
-    def flag(df: pd.DataFrame) -> pd.DataFrame:
+    def flag(df: pd.DataFrame) -> pa.Table:
         nt = df["n_tok"].to_numpy(dtype=np.float64, na_value=np.nan)
         src = df["source"]
         lo = np.full(len(df), np.inf)
@@ -857,10 +870,12 @@ def seq_length_outliers(
         out["lo"] = lo[bad].astype(np.int64)
         out["hi"] = hi[bad].astype(np.int64)
         out["side"] = np.where(nt[bad] < lo[bad], "low", "high")
-        return out
+        return pa.Table.from_pandas(
+            out, schema=_OUTLIER_SCHEMA, preserve_index=False
+        ).replace_schema_metadata(None)
 
     ds = _seq_ds(sf_dir, columns=["doc_id", "source", "n_tok"])
-    return ds.map_batches(_aout(flag), batch_format="pandas")
+    return ds.map_batches(flag, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

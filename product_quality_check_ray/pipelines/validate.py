@@ -21,8 +21,11 @@ Dataflow (SURVEY.md §3.1 "our engine's equivalent plan")::
 
 Scale notes (100 TB / 256 nodes):
 - The full-row pass never shuffles: token payloads stay inside their input
-  fragment's task; only O(fragments × sources) partials (a few KB each)
-  move, and a worker holds one read batch at a time, not a whole fragment.
+  fragment's task; only O(fragments × sources) partials move, and a worker
+  holds one read batch at a time, not a whole fragment. A partial is a few
+  hundred bytes to a few KB: its HLL is stored sparse (the nonzero registers
+  only) while it holds under m/3 of them, and its histogram as the nonzero
+  bins only; its t-digest holds at most ~delta/2 centroids.
 - A partition's partial is a function of its fragment's rows only — not of
   the batching, the wave size or the file grouping — so a resumed report
   equals a cold one in every field, quantiles included.
@@ -148,9 +151,15 @@ class RowCheckStage:
             raise ValueError(f"RowCheckStage takes one fragment's rows, got {len(paths)} paths")
         return self._check(paths[0], [batch.drop_columns(["path"])]) if paths else {}
 
-    def check_fragment(self, path: str) -> dict[str, dict]:
-        """Check one fragment, read once in pyarrow's default batches."""
-        return self._check(path, pq.ParquetFile(path).iter_batches())
+    def check_fragment(self, path: str) -> tuple[dict[str, dict], dict, int]:
+        """Check one fragment, read once in pyarrow's default batches:
+        (per-source entries, fingerprint, Parquet row count), the last two
+        of the open file the rows came from. A fragment rewritten after the
+        open keeps the old fingerprint, so a resume re-validates it."""
+        with open(path, "rb") as f:
+            fingerprint = lin.file_fingerprint(f.fileno())
+            pf = pq.ParquetFile(f)
+            return self._check(path, pf.iter_batches()), fingerprint, pf.metadata.num_rows
 
     def _check(self, path: str, batches: Iterable) -> dict[str, dict]:
         """{source: lineage per-source entry} for one fragment. Every field
@@ -303,12 +312,13 @@ class SourcePartials:
 def _finish_partial(a: dict) -> dict:
     """A running partial as its lineage per-source entry."""
     td = TDigest().add(a["values"].astype(np.float64), a["weights"])
+    bins = np.flatnonzero(a["hist"])
     return {
         "rows": a["rows"],
         "ok_rows": a["ok_rows"],
         "viol_rows": a["rows"] - a["ok_rows"],
         "check_counts": {n: int(c) for n, c in zip(ROW_CHECK_NAMES, a["counts"])},
-        "hist": a["hist"].tolist(),
+        "hist": {"bins": bins.tolist(), "counts": a["hist"][bins].tolist()},
         "sum_n_tok": a["sum_n_tok"],
         "min_n_tok": a["min_n_tok"],
         "max_n_tok": a["max_n_tok"],
@@ -317,15 +327,25 @@ def _finish_partial(a: dict) -> dict:
     }
 
 
+def dense_hist(h: dict) -> np.ndarray:
+    """A lineage entry's ``hist`` (nonzero bins and their counts) as the
+    dense ``HIST_NUM_BINS + 1`` counts."""
+    out = np.zeros(HIST_NUM_BINS + 1, dtype=np.int64)
+    out[np.asarray(h["bins"], dtype=np.int64)] = h["counts"]
+    return out
+
+
 @ray.remote
-def _check_group(paths: list[str], **stage_kwargs) -> dict[str, tuple[dict, float]]:
+def _check_group(paths: list[str], **stage_kwargs) -> dict[str, tuple[dict, float, dict, int]]:
     """Row-check one file group with one stage: {path: (per-source
-    partials, the fragment's check wall in seconds)}."""
+    partials, the fragment's check wall in seconds, the fingerprint and
+    Parquet row count of the file read)}."""
     stage = RowCheckStage(**stage_kwargs)
     out = {}
     for p in paths:
         t0 = time.perf_counter()
-        out[p] = (stage.check_fragment(p), time.perf_counter() - t0)
+        per_source, fingerprint, file_rows = stage.check_fragment(p)
+        out[p] = (per_source, time.perf_counter() - t0, fingerprint, file_rows)
     return out
 
 
@@ -521,7 +541,7 @@ def run_validation(
     }
     for wave in _chunks(todo, max(1, wave_files)):
         t0 = time.time()
-        checked: dict[str, tuple[dict, float]] = {}
+        checked: dict[str, tuple[dict, float, dict, int]] = {}
         for r in ray.get(
             [_check_group.remote(g, **stage_kwargs) for g in dupfinder.file_groups(wave)]
         ):
@@ -622,17 +642,18 @@ def _config_digest(
 def _publish_wave(
     out_dir: str,
     wave: list[str],
-    checked: dict[str, tuple[dict, float]],
+    checked: dict[str, tuple[dict, float, dict, int]],
     config_digest: "str | None" = None,
 ) -> tuple[int, int]:
     """Publish lineage for every fully-covered partition of this wave from
-    its one partial per source and its own check wall; returns (published
-    violation rows, published partitions) so the caller can enforce a
-    fail-fast budget."""
+    its one partial per source, its own check wall, and the fingerprint and
+    row count of the file its task read (never a fresh stat here: a
+    fragment rewritten since would stamp the old rows' partial with the new
+    file's fingerprint). Returns (published violation rows, published
+    partitions) so the caller can enforce a fail-fast budget."""
     pub_viol = pub_parts = 0
     for fpath in wave:
-        per_source, wall_s = checked.get(fpath, ({}, 0.0))
-        file_rows = pq.read_metadata(fpath).num_rows
+        per_source, wall_s, fingerprint, file_rows = checked[fpath]
         processed = sum(a["rows"] for a in per_source.values())
         if processed != file_rows:
             # incomplete coverage — do not publish lineage; rerun will redo it
@@ -642,7 +663,7 @@ def _publish_wave(
             "engine_version": lin.ENGINE_VERSION,
             "part_id": pid,
             "input_path": fpath,
-            "input_fingerprint": lin.file_fingerprint(fpath),
+            "input_fingerprint": fingerprint,
             "file_rows": file_rows,
             "processed_rows": processed,
             "ok_rows": sum(a["ok_rows"] for a in per_source.values()),
@@ -706,15 +727,15 @@ def _assemble_report(
             )
             agg["rows"] += a["rows"]
             agg["viol_rows"] += a["viol_rows"]
-            agg["hist"] += np.asarray(a["hist"], dtype=np.int64)
+            agg["hist"] += dense_hist(a["hist"])
             agg["sum_n_tok"] += a["sum_n_tok"]
             agg["min_n_tok"] = min(agg["min_n_tok"], a["min_n_tok"])
             agg["max_n_tok"] = max(agg["max_n_tok"], a["max_n_tok"])
             agg["_td"].merge(TDigest.from_bytes(lin.unb64(a["td"])))
             agg["_hll"].merge(HyperLogLog.from_bytes(lin.unb64(a["hll"])))
     for s, a in per_source.items():
-        g_td.merge(TDigest.from_bytes(a["_td"].to_bytes()))
-        g_hll.merge(HyperLogLog.from_bytes(a["_hll"].to_bytes()))
+        g_td.merge(a["_td"])
+        g_hll.merge(a["_hll"])
         report.per_source[s] = {
             "rows": a["rows"],
             "viol_rows": a["viol_rows"],

@@ -26,8 +26,10 @@ import time
 from typing import Any
 
 # stamped into every lineage record; a resume re-validates records of any
-# other version. 2: one t-digest per fragment (1 built one per Ray block)
-ENGINE_VERSION = 2
+# other version, never decoding them. 2: one t-digest per fragment (1 built
+# one per Ray block); 3: binary sparse/dense HLL bytes (2 pickled dense
+# registers) and the n_tok histogram as its nonzero bins
+ENGINE_VERSION = 3
 
 
 def part_id_for(input_path: str) -> str:
@@ -57,7 +59,8 @@ def lineage_path(out_dir: str, part_id: str) -> str:
     return os.path.join(lineage_dir(out_dir), f"part={part_id}.json")
 
 
-def file_fingerprint(path: str) -> dict[str, Any]:
+def file_fingerprint(path: "str | int") -> dict[str, Any]:
+    """Size and mtime of a path, or of an open file descriptor."""
     st = os.stat(path)
     return {"size": st.st_size, "mtime_ns": st.st_mtime_ns}
 

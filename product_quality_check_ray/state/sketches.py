@@ -9,6 +9,15 @@ serializable, mergeable partials: each validate task emits one serialized
 sketch per (fragment, source), and a tiny driver-side reduce merges them (the
 pattern SURVEY.md §4.2 calls "sketch merge protocol").
 
+Serialization: ``HyperLogLog.to_bytes`` is a plain binary codec — a
+``[p, form]`` header, then either the sorted nonzero registers (HLL++'s
+sparse idea: a fragment's sketch of a few hundred ids fills a few dozen of
+4096 registers) or the dense register array — and ``from_bytes`` validates
+it and never unpickles, since the bytes are read back from lineage files on
+disk. ``TDigest.to_bytes`` stays a pickle of its centroid arrays: callers
+order merges by those bytes (``seq_queries._merge_sketch_partials``), so a
+new layout could reorder order-sensitive digest merges.
+
 Determinism note (SURVEY.md §7.4): HLL merge is exactly order-insensitive
 (register-wise max). t-digest merges are deterministic given merge order, not
 otherwise; validate therefore builds each fragment's digest once, from the
@@ -135,6 +144,11 @@ class TDigest:
         return t
 
 
+# HyperLogLog.to_bytes forms, and the precisions its <u2 sparse indices hold
+_DENSE, _SPARSE = 0, 1
+_MIN_P, _MAX_P = 4, 16
+
+
 def _index_rank(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(register index, rank) of each uint64 hash for a 2^p-register HLL."""
     idx = (h >> np.uint64(64 - p)).astype(np.int64)
@@ -216,11 +230,39 @@ class HyperLogLog:
         return float(e)
 
     def to_bytes(self) -> bytes:
-        return pickle.dumps((self.p, self.registers.tobytes()))
+        """``[p, form]`` then the registers: sparse (``_SPARSE``) while
+        ``3·nnz < m`` — the sorted nonzero register indices as ``<u2``, then
+        their ranks as ``u8`` — else dense, the ``m`` raw registers. At most
+        ``2 + min(3·nnz, m)`` bytes."""
+        idx = np.flatnonzero(self.registers)
+        if 3 * idx.size < self.m:
+            body = idx.astype("<u2").tobytes() + self.registers[idx].tobytes()
+            return bytes((self.p, _SPARSE)) + body
+        return bytes((self.p, _DENSE)) + self.registers.tobytes()
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "HyperLogLog":
-        p, raw = pickle.loads(b)
-        h = cls(p)
-        h.registers = np.frombuffer(raw, dtype=np.uint8).copy()
+        """The sketch ``to_bytes`` encoded; ``ValueError`` on malformed bytes."""
+        if len(b) < 2 or not _MIN_P <= b[0] <= _MAX_P:
+            raise ValueError(f"HyperLogLog bytes: bad header {bytes(b[:2])!r}")
+        h = cls(b[0])
+        body = np.frombuffer(b, dtype=np.uint8, offset=2)
+        if b[1] == _DENSE:
+            if body.size != h.m:
+                raise ValueError(f"HyperLogLog bytes: {body.size} dense registers, want {h.m}")
+            ranks = h.registers = body.copy()
+        elif b[1] == _SPARSE:
+            nnz, rem = divmod(body.size, 3)
+            if rem or 3 * nnz >= h.m:
+                raise ValueError(f"HyperLogLog bytes: sparse body of {body.size} bytes at p={h.p}")
+            idx, ranks = body[: 2 * nnz].view("<u2"), body[2 * nnz :]
+            if nnz and (idx[-1] >= h.m or (idx[1:] <= idx[:-1]).any() or ranks.min() == 0):
+                raise ValueError(
+                    "HyperLogLog bytes: sparse entries not increasing, in range and nonzero"
+                )
+            h.registers[idx] = ranks
+        else:
+            raise ValueError(f"HyperLogLog bytes: unknown form {b[1]}")
+        if ranks.size and ranks.max() > 64 - h.p + 1:
+            raise ValueError(f"HyperLogLog bytes: rank {ranks.max()} above {64 - h.p + 1}")
         return h

@@ -204,3 +204,33 @@ def test_all_null_ntok_source_never_flags(tmp_path, ray_session):
 
 def test_default_band_is_the_documented_tails():
     assert (OUTLIER_Q_LO, OUTLIER_Q_HI) == (0.005, 0.995)
+
+
+def test_blocks_that_flag_nothing_keep_the_output_types(tmp_path, ray_session):
+    # eight fragments of n_tok=7; only the last holds the two tails, so
+    # the band is [7, 7] and seven of the eight blocks flag nothing
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for f in range(8):
+        rows = [("f%d_%02d" % (f, i), "s", 7) for i in range(25)]
+        if f == 7:
+            rows += [("tail_lo", "s", 1), ("tail_hi", "s", 999)]
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": [r[0] for r in rows],
+                    "tokens": pa.array([[1]] * len(rows), type=pa.list_(pa.int32())),
+                    "n_tok": pa.array([r[2] for r in rows], type=pa.int32()),
+                    "source": [r[1] for r in rows],
+                }
+            ),
+            d / f"frag-{f:03d}.parquet",
+        )
+    ds = seq_length_outliers(str(d)).materialize()
+    flagged = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    assert ds.num_blocks() >= 8 and len(flagged) == 1
+    schema = ds.schema().base_schema
+    assert not [f.name for f in schema if pa.types.is_null(f.type)], schema
+    assert schema.types == [pa.string(), pa.string()] + [pa.int64()] * 3 + [pa.string()]
+    out = ds.to_pandas()
+    assert sorted(zip(out["doc_id"], out["side"])) == [("tail_hi", "high"), ("tail_lo", "low")]

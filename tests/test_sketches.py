@@ -1,8 +1,12 @@
-"""Sketch accuracy + mergeability bounds (SURVEY.md §5 plan #5)."""
+"""Sketch accuracy + mergeability bounds (SURVEY.md §5 plan #5), and the
+HyperLogLog byte codec."""
+
+import pickle
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 
 from product_quality_check_ray.state.sketches import HyperLogLog, TDigest, add_strings_grouped
 
@@ -88,6 +92,79 @@ def test_grouped_hll_equals_one_sketch_per_group():
         assert np.array_equal(got.registers, want.registers), g
         assert got.to_bytes() == want.to_bytes()
     assert not regs[3].any()
+
+
+def _registers(p: int, nnz: int, seed: int = 0) -> np.ndarray:
+    """2^p registers, ``nnz`` of them nonzero, ranks spanning [1, 64-p+1]."""
+    rng = np.random.default_rng(seed)
+    m = 1 << p
+    regs = np.zeros(m, dtype=np.uint8)
+    idx = rng.choice(m, nnz, replace=False)
+    regs[idx] = rng.integers(1, 64 - p + 2, nnz)
+    if nnz:
+        regs[idx[0]] = 64 - p + 1
+    return regs
+
+
+@pytest.mark.parametrize("p", [4, 12, 16])
+def test_hll_codec_round_trips_at_the_sparse_dense_boundary(p):
+    m = 1 << p
+    edge = (m - 1) // 3  # largest sparse count: 1365 at p=12
+    for nnz in (0, 1, edge, edge + 1, m):
+        regs = _registers(p, nnz, seed=nnz)
+        b = HyperLogLog.from_registers(regs).to_bytes()
+        assert b[0] == p and b[1] == (1 if 3 * nnz < m else 0), nnz
+        assert len(b) <= 2 + min(3 * nnz, m), nnz
+        got = HyperLogLog.from_bytes(b)
+        assert got.p == p and got.m == m
+        assert got.registers.dtype == np.uint8
+        assert np.array_equal(got.registers, regs), nnz
+        # the decoded registers are writable: merging into them works
+        got.merge(HyperLogLog.from_registers(_registers(p, 3, seed=99)))
+    assert len(HyperLogLog(p).to_bytes()) == 2
+
+
+def _sparse(p: int, idx, ranks) -> bytes:
+    return (
+        bytes((p, 1))
+        + np.asarray(idx, dtype="<u2").tobytes()
+        + np.asarray(ranks, dtype=np.uint8).tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        b"",
+        b"\x0c",
+        bytes((3, 0)) + bytes(8),  # p below 4
+        bytes((17, 1)),  # p above 16
+        bytes((0, 1)),
+        bytes((12, 2)),  # unknown form
+        bytes((12, 0)) + bytes(4095),  # dense: one register short
+        bytes((12, 0)) + bytes(4097),  # dense: one register long
+        bytes((12, 1)) + bytes(4),  # sparse: not whole (index, rank) entries
+        _sparse(12, range(1366), [1] * 1366),  # sparse at a dense count
+        _sparse(12, [5, 5], [1, 2]),  # indices not increasing
+        _sparse(12, [9, 3], [1, 2]),
+        _sparse(12, [4096], [1]),  # index out of range
+        _sparse(4, [16], [1]),
+        _sparse(12, [7], [0]),  # a zero register listed as nonzero
+        _sparse(12, [7], [54]),  # rank above 64-12+1
+        bytes((12, 0)) + bytes(4095) + b"\x36",
+        bytes((4, 0)) + bytes(15) + b"\x3e",  # 62 > 64-4+1
+        pickle.dumps((12, bytes(4096))),  # the old pickled layout
+    ],
+)
+def test_hll_codec_rejects_malformed_bytes(case):
+    with pytest.raises(ValueError):
+        HyperLogLog.from_bytes(case)
+
+
+def test_hll_codec_accepts_the_top_rank():
+    for p in (4, 12, 16):
+        h = HyperLogLog.from_bytes(_sparse(p, [0, (1 << p) - 1], [64 - p + 1, 1]))
+        assert h.registers[0] == 64 - p + 1 and h.registers[-1] == 1
 
 
 def _loop_sketch_partial(t: pa.Table) -> pa.Table:

@@ -1,9 +1,10 @@
 """The one-pass per-source partial (``validate.SourcePartials``) writes the
 same lineage ``per_source`` entries as the per-source loop it replaced.
 
-``loop_entries`` below is that loop, kept here as the oracle: one pandas
+``loop_partials`` below is that loop, kept here as the oracle: one pandas
 groupby per batch, then a ``take``, a doc_id hash and an HLL update per
-source. Entries are compared as ``json.dumps(sort_keys=True)`` strings."""
+source; ``loop_entries`` finishes its partials into lineage entries.
+Entries are compared as ``json.dumps(sort_keys=True)`` strings."""
 
 import glob
 import json
@@ -21,13 +22,16 @@ from product_quality_check_ray.pipelines.validate import (
     _SENTINEL_MIN,
     RowCheckStage,
     _finish_partial,
+    dense_hist,
     run_validation,
 )
 from product_quality_check_ray.state import lineage as lin
 from product_quality_check_ray.state.sketches import HyperLogLog
 
 
-def loop_entries(ctx: dict, batches) -> dict[str, dict]:
+def loop_partials(ctx: dict, batches) -> dict[str, dict]:
+    """{source: running partial} of a fragment's batches: dense ``hist``,
+    ``HyperLogLog`` ``hll``, exact n_tok ``values``/``weights``, counts."""
     acc: dict[str, dict] = {}
     for b in batches:
         annotated, mat = annotate_batch(pa.table(b), ctx)
@@ -75,6 +79,11 @@ def loop_entries(ctx: dict, batches) -> dict[str, dict]:
             ids = doc_ids.take(pa.array(ii)).combine_chunks().drop_null()
             if len(ids):
                 a["hll"].add_strings(ids)
+    return acc
+
+
+def loop_entries(ctx: dict, batches) -> dict[str, dict]:
+    acc = loop_partials(ctx, batches)
     return {s: _finish_partial(acc[s]) for s in sorted(acc)}
 
 
@@ -88,7 +97,7 @@ def assert_same_entries(path: str, batch_size: int = 10) -> dict:
     want = loop_entries(stage.ctx, batches_of(path, batch_size))
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     # pyarrow's default batches too (one batch per fragment here)
-    assert json.dumps(stage.check_fragment(path), sort_keys=True) == json.dumps(
+    assert json.dumps(stage.check_fragment(path)[0], sort_keys=True) == json.dumps(
         want, sort_keys=True
     )
     return got
@@ -169,7 +178,7 @@ def test_resume_keeps_partitions_written_by_the_loop(ray_session, tmp_path, repo
     engine version) is kept whole by a resume, and gives the cold report."""
     from product_quality_check_ray.datagen import write_sequences
 
-    assert lin.ENGINE_VERSION == 2
+    assert lin.ENGINE_VERSION == 3
     seq = write_sequences(str(tmp_path / "seq"), 1000, seed=11, num_fragments=4)
     out = str(tmp_path / "out")
     cold = run_validation(seq, out, uniqueness=False)
@@ -186,3 +195,26 @@ def test_resume_keeps_partitions_written_by_the_loop(ray_session, tmp_path, repo
     after = {p: os.stat(p).st_mtime_ns for p in glob.glob(os.path.join(out, "lineage", "*.json"))}
     assert len(before) == 4 and after == before
     assert report_fields(resumed) == report_fields(cold)
+
+
+def test_lineage_sketches_decode_to_the_loops_registers_and_hist(ray_session, tmp_path):
+    """Each lineage entry's encoded HLL and sparse histogram decode to the
+    registers and dense histogram the loop builds from the fragment's raw
+    rows; small per-fragment sketches take the sparse form."""
+    from product_quality_check_ray.datagen import write_sequences
+
+    seq = write_sequences(str(tmp_path / "seq"), 1000, seed=11, num_fragments=4)
+    out = str(tmp_path / "out")
+    run_validation(seq, out, uniqueness=False)
+    ctx = RowCheckStage(allowlist_rows=SOURCE_ALLOWLIST).ctx
+    for f in sorted(glob.glob(os.path.join(seq, "frag-*.parquet"))):
+        rec = lin.read_lineage(out, lin.part_id_for(f))
+        want = loop_partials(ctx, pq.ParquetFile(f).iter_batches())
+        assert sorted(rec["per_source"]) == sorted(want)
+        for s, a in rec["per_source"].items():
+            raw = lin.unb64(a["hll"])
+            assert raw[:2] == bytes((12, 1)), s  # p=12, sparse
+            regs = HyperLogLog.from_bytes(raw).registers
+            assert np.array_equal(regs, want[s]["hll"].registers), s
+            assert np.array_equal(dense_hist(a["hist"]), want[s]["hist"]), s
+            assert 0 not in a["hist"]["counts"], s

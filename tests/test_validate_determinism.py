@@ -12,7 +12,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from product_quality_check_ray.pipelines.validate import run_validation
+from product_quality_check_ray.pipelines.validate import (
+    _check_group,
+    _publish_wave,
+    run_validation,
+)
 from product_quality_check_ray.state import lineage as lin
 
 
@@ -114,7 +118,7 @@ def test_old_engine_version_lineage_is_revalidated(ray_session, corpus, tmp_path
     mtime_kept = os.path.getmtime(lin.lineage_path(out, kept))
     run_validation(seq, out, resume=True, uniqueness=False)
     rec = lin.read_lineage(out, stale)
-    assert rec["engine_version"] == lin.ENGINE_VERSION == 2
+    assert rec["engine_version"] == lin.ENGINE_VERSION == 3
     assert rec["wall_s"] >= 0
     assert os.path.getmtime(lin.lineage_path(out, kept)) == mtime_kept
 
@@ -133,3 +137,68 @@ def test_partition_wall_is_its_fragments_own(ray_session, tmp_path):
     rep = run_validation(seq, str(tmp_path / "out"), uniqueness=False)
     walls = {p["file_rows"]: p["wall_s"] for p in rep.partitions.values()}
     assert walls[40000] > walls[10]
+
+
+def test_fragment_rewritten_after_its_check_is_not_complete(
+    ray_session, corpus, tmp_path, report_fields
+):
+    """A lineage record carries the fingerprint of the file its task read:
+    a fragment rewritten (same row count, different rows) between its check
+    and the publish is not complete, and the next run re-validates it."""
+    import ray
+
+    seq = str(tmp_path / "seq")
+    os.makedirs(seq)
+    frag = os.path.join(seq, "frag-00000.parquet")
+    shutil.copy(sorted(glob.glob(os.path.join(corpus, "frag-*.parquet")))[0], frag)
+    before = lin.file_fingerprint(frag)
+    checked = ray.get(_check_group.remote([frag]))
+    t = pq.read_table(frag)
+    ids = t.column("doc_id")
+    t = t.set_column(
+        t.schema.get_field_index("doc_id"),
+        "doc_id",
+        pa.array([None if d is None else d + "-v2" for d in ids.to_pylist()], ids.type),
+    )
+    pq.write_table(t, frag)
+    assert lin.file_fingerprint(frag) != before
+    assert pq.read_metadata(frag).num_rows == checked[frag][3]
+    out = str(tmp_path / "out")
+    _publish_wave(out, [frag], checked)
+    rec = lin.read_lineage(out, lin.part_id_for(frag))
+    assert rec["input_fingerprint"] == before
+    assert rec["processed_rows"] == rec["file_rows"]
+    assert not lin.partition_complete(out, frag)
+
+    resumed = run_validation(seq, out, uniqueness=False)
+    cold = run_validation(seq, str(tmp_path / "cold"), uniqueness=False)
+    assert lin.partition_complete(out, frag)
+    assert report_fields(resumed) == report_fields(cold)
+
+
+def test_report_merges_equal_the_serialized_round_trip(ray_session, corpus, tmp_path):
+    """``_assemble_report`` merges each source's t-digest and HLL into the
+    global ones directly; that gives the same quantiles and distinct
+    estimates as merging ``from_bytes(to_bytes())`` copies of them."""
+    from product_quality_check_ray.state.sketches import HyperLogLog, TDigest
+
+    out = str(tmp_path / "out")
+    rep = run_validation(corpus, out, uniqueness=False)
+    recs = lin.all_lineage(out)
+    per: dict[str, tuple] = {}
+    for pid in sorted(recs):
+        for s, a in recs[pid]["per_source"].items():
+            td, hll = per.setdefault(s, (TDigest(), HyperLogLog()))
+            td.merge(TDigest.from_bytes(lin.unb64(a["td"])))
+            hll.merge(HyperLogLog.from_bytes(lin.unb64(a["hll"])))
+    g_td, g_hll = TDigest(), HyperLogLog()
+    for td, hll in per.values():
+        g_td.merge(TDigest.from_bytes(td.to_bytes()))
+        g_hll.merge(HyperLogLog.from_bytes(hll.to_bytes()))
+    for q in (50, 90, 99):
+        assert rep.global_stats[f"p{q}_n_tok"] == g_td.quantile(q / 100), q
+    assert rep.global_stats["distinct_doc_est"] == g_hll.estimate()
+    for s, (td, hll) in per.items():
+        assert rep.per_source[s]["p50_n_tok"] == td.quantile(0.5), s
+        assert rep.per_source[s]["p99_n_tok"] == td.quantile(0.99), s
+        assert rep.per_source[s]["distinct_doc_est"] == hll.estimate(), s
