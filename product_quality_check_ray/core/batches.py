@@ -2,7 +2,7 @@
 
 ``arrow_out`` wraps a pandas-returning batch/group function so its output is
 converted to an Arrow table before Ray stores the block. This matters
-whenever the output feeds a shuffle (`groupby` / `sort` / `map_groups`):
+whenever the output feeds a shuffle (`groupby` / `sort`):
 Ray's shuffle over pandas-format blocks takes a path measured ~12× slower
 than over Arrow blocks (15.5 s vs 1.3 s for a 53k-row groupby at 8 CPUs), so
 every combiner in this repo emits Arrow even when the UDF itself is pandas.

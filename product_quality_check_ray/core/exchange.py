@@ -14,17 +14,20 @@ pairs, corpus diffs, content-membership tests) has the same dataflow:
 reduce over two map families — the two sides of a diff — issues each
 family's maps and routes them together); ``split`` cuts a hash-sorted map
 output into the per-range partials; ``block_groups`` / ``fetch_table`` feed
-a map from a Dataset's blocks.
+a map from a Dataset's blocks. ``group_apply`` is the keyed
+one-call-per-range apply built from those pieces: the engine's grouped
+apply, in place of Ray Data's ``groupby().map_groups``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
-from .hashing import range_edges
+from .hashing import hash_keys, range_edges
 
 BLOCKS_PER_TASK = 8  # Dataset blocks per map task
 
@@ -134,3 +137,55 @@ def run(
     """``reduce_ranges(map_ranges(...))``: one ObjectRef per hash range."""
     mapped = map_ranges(map_task, inputs, ranges, *map_args)
     return reduce_ranges(mapped, reduce_task, ranges, *reduce_args)
+
+
+def group_apply(ds, key: str, columns: list[str], fn, schema: pa.Schema):
+    """``fn(pa.Table) -> pa.Table`` called once per hash range of ``key``
+    over the ``columns`` of ``ds``; a Dataset of the per-range results,
+    each cast to ``schema``.
+
+    A range holds every row of its keys (rows with a null key all go to
+    range 0), so ``fn`` may reduce per key over whatever keys its table
+    holds, in any row order. An empty range yields ``schema.empty_table()``
+    without calling ``fn``."""
+    import ray.data as rd
+
+    refs = run(
+        _group_split,
+        block_groups(ds),
+        _group_reduce,
+        range_count(),
+        map_args=(key, columns),
+        reduce_args=(fn, schema),
+    )
+    return rd.from_arrow_refs(refs)
+
+
+@ray.remote
+def _group_split(block_refs: list, ranges: int, key: str, columns: list[str]) -> tuple:
+    """The map of ``group_apply``: a block group's rows, one table per
+    ``hash_keys`` range of ``key`` (None for every range when it has no
+    rows)."""
+    t = fetch_table(block_refs, columns)
+    if t is None:
+        return (None,) * ranges
+    k = t.column(key)
+    if k.null_count:
+        valid = pc.is_valid(k)
+        h = np.zeros(t.num_rows, dtype=np.uint64)  # hash 0: range 0
+        h[valid.to_numpy(zero_copy_only=False)] = hash_keys(k.filter(valid))
+    else:
+        h = hash_keys(k)
+    order = np.argsort(h, kind="stable")
+    return tuple(p for (p,) in split(h[order], ranges, t.take(order)))
+
+
+@ray.remote
+def _group_reduce(fn, schema: pa.Schema, *parts) -> pa.Table:
+    """One range of ``group_apply``: its parts concatenated, ``fn`` called
+    once, the result cast to ``schema``."""
+    parts = [p for p in parts if p is not None and p.num_rows]
+    if not parts:
+        return schema.empty_table()
+    out = fn(pa.concat_tables(parts, promote_options="permissive"))
+    return out.select(schema.names).cast(schema)

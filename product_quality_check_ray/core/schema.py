@@ -61,7 +61,3 @@ ALLOWED_SOURCES: frozenset[str] = frozenset(r["source"] for r in SOURCE_ALLOWLIS
 HIST_BIN_WIDTH: int = 32
 HIST_MAX: int = 8192
 HIST_NUM_BINS: int = HIST_MAX // HIST_BIN_WIDTH  # 256 bins; +1 overflow bin
-
-
-def hist_bin_edges() -> list[int]:
-    return list(range(0, HIST_MAX + 1, HIST_BIN_WIDTH))

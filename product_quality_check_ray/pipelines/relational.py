@@ -37,8 +37,9 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Sum
+from ray.data.aggregate import Max, Sum
 
+from ..core import exchange
 from ..core.batches import arrow_out as _aout
 from ..core.batches import strip_schema_metadata as _strip_meta
 from ..core.collect import collect_table as _collect
@@ -310,10 +311,10 @@ def grouped_topk_orders(sf_dir: str, k: int = 3) -> pa.Table:
     Customer→segment enrichment via the broadcast-or-shuffle
     ``core.joins.lookup_join`` (dim broadcast under the 2M-row cap, the
     dim reduced to its matched rows by a key exchange above — never a
-    driver ``take_all`` dict), then per-batch
-    local top-k combiner → groupby(segment) → exact top-k within each group
-    (map_groups). The shuffle only carries k rows per segment per batch,
-    never the orders table.
+    driver ``take_all`` dict), then per-batch local top-k combiner →
+    ``exchange.group_apply`` on the segment → exact top-k per segment
+    within each hash range. The exchange only carries k rows per segment
+    per batch, never the orders table.
     """
     from ..core.joins import lookup_join
 
@@ -335,20 +336,29 @@ def grouped_topk_orders(sf_dir: str, k: int = 3) -> pa.Table:
             ["c_mktsegment", "o_orderkey", "o_totalprice"]
         ]
 
-    def group_topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True]).head(k)
-        df = df.copy()
-        df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return df
+    def range_topk(t: pa.Table) -> pd.DataFrame:
+        df = local_topk(t.to_pandas())
+        rank = df.groupby("c_mktsegment").cumcount().to_numpy(np.int64) + 1
+        return df.assign(rank=rank)
 
-    out = (
-        enriched.map_batches(_aout(local_topk), batch_format="pandas")
-        .materialize()  # tiny combiner output; see core/batches.py note
-        .groupby("c_mktsegment")
-        .map_groups(_aout(group_topk), batch_format="pandas")
+    schema = pa.schema(
+        [
+            ("c_mktsegment", pa.string()),
+            ("o_orderkey", pa.int64()),
+            ("o_totalprice", pa.float64()),
+            ("rank", pa.int64()),
+        ]
     )
-    tbl = _collect(out)
-    return tbl.sort_by([("c_mktsegment", "ascending"), ("rank", "ascending")])
+    out = exchange.group_apply(
+        enriched.map_batches(_aout(local_topk), batch_format="pandas").materialize(),
+        "c_mktsegment",
+        schema.names[:3],
+        _aout(range_topk),
+        schema,
+    )
+    return _collect(out, schema=schema).sort_by(
+        [("c_mktsegment", "ascending"), ("rank", "ascending")]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -585,73 +595,18 @@ def order_priority_stats(sf_dir: str) -> pa.Table:
 SESSION_GAP_MIN = 30
 
 
-
-def _bucket_by_user(n_buckets: int):
-    """Per-batch user→bucket stage for the bucketed per-key kernels
-    (sessionization, as-of) — the shared ``core.salting.hash_bucket_stage``
-    keyed on user_id."""
-    from ..core.salting import hash_bucket_stage
-
-    return hash_bucket_stage("user_id", n_buckets)
-
-
 def user_sessions(sf_dir: str) -> pa.Table:
     """Per-user sessions with a 30-minute inactivity gap.
 
-    Default kernel is the BUCKETED one (``user_sessions_bucketed``): hashing
-    users into ~256 buckets turns millions of tiny per-user groups into a
-    few hundred chunky ones, sessionized fully vectorized inside each —
-    measured 6.0× faster than per-user ``map_groups`` at 1M events / 100k
-    users (12.55 s → 2.11 s, 32 CPUs) and the gap grows with user count
-    (per-group Python call overhead; BASELINE.md 'sessionization kernels').
-    The per-user variant is kept as ``user_sessions_map_groups`` for the
-    differential test.
-    """
-    return user_sessions_bucketed(sf_dir)
-
-
-def user_sessions_map_groups(sf_dir: str) -> pa.Table:
-    """Per-user ``groupby(user_id).map_groups`` sessionization (the
-    canonical-looking Ray Data shape; slower — see ``user_sessions``)."""
-    ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
-    gap = pd.Timedelta(minutes=SESSION_GAP_MIN)
-
-    def sessions(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["ts", "event_id"], kind="mergesort")
-        new = df["ts"].diff().isna() | (df["ts"].diff() > gap)
-        df = df.assign(session_id=np.cumsum(new.to_numpy()).astype(np.int64))
-        g = df.groupby("session_id", as_index=False).agg(
-            session_start=("ts", "min"),
-            n_events=("event_id", "size"),
-            total_value=("value", lambda v: _rha(v, 4).sum()),
-        )
-        g["user_id"] = df["user_id"].iloc[0]
-        g["n_events"] = g["n_events"].astype(np.int64)
-        g["total_value"] = _rha(g["total_value"], 4)
-        g["session_start"] = pd.to_datetime(g["session_start"]).dt.strftime(
-            "%Y-%m-%d %H:%M:%S.%f"
-        )
-        return g[["user_id", "session_id", "session_start", "n_events", "total_value"]]
-
-    out = ds.groupby("user_id").map_groups(_aout(sessions), batch_format="pandas")
-    return _collect(out.sort(["user_id", "session_id"]))
-
-
-def user_sessions_bucketed(sf_dir: str, n_buckets: int = 256) -> pa.Table:
-    """Bucketed sessionization: hash users into ``n_buckets`` groups, then
-    sessionize EVERY user in a bucket with one vectorized pass (sort by
-    (user, ts, event_id) → boundary diff → cumsum → one pandas groupby).
-
-    Same shuffle volume as the per-user kernel (one hash exchange of the
-    events projection) but O(buckets) group invocations instead of O(users)
-    — per-group overhead was the measured cost of ``map_groups`` at scale
-    (state/pairreduce.py documents the same pathology)."""
-    ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
+    ``exchange.group_apply`` on user_id, then EVERY user in a hash range
+    is sessionized with one vectorized pass (sort by (user, ts, event_id)
+    → boundary diff → cumsum → one pandas groupby): O(ranges) kernel calls
+    instead of one Python call per user."""
+    cols = ["event_id", "ts", "user_id", "value"]
     gap = np.timedelta64(SESSION_GAP_MIN * 60 * 1_000_000_000, "ns")
-    add_bucket = _bucket_by_user(n_buckets)
 
-    def sessionize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
+    def sessionize(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         n = len(df)
         uid = df["user_id"].to_numpy()
         ts = df["ts"].to_numpy(dtype="datetime64[ns]")
@@ -660,7 +615,7 @@ def user_sessions_bucketed(sf_dir: str, n_buckets: int = 256) -> pa.Table:
         new_user[1:] = uid[1:] != uid[:-1]
         new_s = new_user.copy()
         new_s[1:] |= (ts[1:] - ts[:-1]) > gap
-        sess_global = np.cumsum(new_s)  # distinct across users in the bucket
+        sess_global = np.cumsum(new_s)  # distinct across users in the range
         g = pd.DataFrame(
             {
                 "user_id": uid,
@@ -682,46 +637,52 @@ def user_sessions_bucketed(sf_dir: str, n_buckets: int = 256) -> pa.Table:
         g["session_start"] = pd.to_datetime(g["session_start"]).dt.strftime(
             "%Y-%m-%d %H:%M:%S.%f"
         )
-        return g[["user_id", "session_id", "session_start", "n_events", "total_value"]]
+        return g
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_aout(sessionize), batch_format="pandas")
+    schema = pa.schema(
+        [
+            ("user_id", pa.int64()),
+            ("session_id", pa.int64()),
+            ("session_start", pa.string()),
+            ("n_events", pa.int64()),
+            ("total_value", pa.float64()),
+        ]
     )
-    return _collect(out.sort(["user_id", "session_id"]))
+    out = exchange.group_apply(
+        _read(sf_dir, "events", columns=cols), "user_id", cols, _aout(sessionize), schema
+    )
+    return _collect(out, schema=schema).sort_by(
+        [("user_id", "ascending"), ("session_id", "ascending")]
+    )
 
 
 def events_asof_last_click(sf_dir: str) -> pa.Table:
     """As-of join: each purchase matched to the user's latest strictly-prior
-    click. Bucketed kernel (same rationale and measured win as
-    ``user_sessions_bucketed``): users hashed into buckets, one
-    ``pd.merge_asof(by="user_id")`` per bucket — vectorized across every
-    user in the bucket instead of a Python call per user."""
-    return events_asof_bucketed(sf_dir)
+    click. ``exchange.group_apply`` on user_id, then one
+    ``pd.merge_asof(by="user_id")`` per hash range — vectorized across
+    every user in the range instead of a Python call per user."""
+    cols = ["event_id", "ts", "user_id", "event_type"]
+    schema = pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("user_id", pa.int64()),
+            ("purchase_ts", pa.string()),
+            ("last_click_ts", pa.string()),
+        ]
+    )
 
-
-def events_asof_map_groups(sf_dir: str) -> pa.Table:
-    """Per-user map_groups as-of kernel (kept for the differential test)."""
-    ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
-
-    def asof(df: pd.DataFrame) -> pd.DataFrame:
-        buys = df[df["event_type"] == "purchase"].sort_values(["ts", "event_id"])
-        clicks = df[df["event_type"] == "click"].sort_values(["ts", "event_id"])
+    def asof(t: pa.Table) -> "pd.DataFrame | pa.Table":
+        df = t.to_pandas()
+        buys = df[df["event_type"] == "purchase"].sort_values(["ts", "event_id"], kind="mergesort")
         if buys.empty:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype=np.int64),
-                    "user_id": pd.Series([], dtype=np.int64),
-                    "purchase_ts": pd.Series([], dtype=str),
-                    "last_click_ts": pd.Series([], dtype=object),
-                }
-            )
+            return schema.empty_table()
+        clicks = df[df["event_type"] == "click"].sort_values(["ts", "event_id"], kind="mergesort")
         joined = pd.merge_asof(
             buys[["event_id", "user_id", "ts"]],
-            clicks[["ts"]].rename(columns={"ts": "click_ts"}),
+            clicks[["user_id", "ts"]].rename(columns={"ts": "click_ts"}),
             left_on="ts",
             right_on="click_ts",
+            by="user_id",
             allow_exact_matches=False,
             direction="backward",
         )
@@ -737,53 +698,10 @@ def events_asof_map_groups(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = ds.groupby("user_id").map_groups(_aout(asof), batch_format="pandas")
-    return _collect(out.sort("event_id"))
-
-
-def events_asof_bucketed(sf_dir: str, n_buckets: int = 256) -> pa.Table:
-    """Bucketed as-of: one ``pd.merge_asof(by='user_id')`` per user bucket."""
-    ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
-    add_bucket = _bucket_by_user(n_buckets)
-
-    def asof_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        buys = df[df["event_type"] == "purchase"].sort_values(["ts", "event_id"], kind="mergesort")
-        clicks = df[df["event_type"] == "click"].sort_values(["ts", "event_id"], kind="mergesort")
-        if buys.empty:
-            return pd.DataFrame(
-                {
-                    "event_id": pd.Series([], dtype=np.int64),
-                    "user_id": pd.Series([], dtype=np.int64),
-                    "purchase_ts": pd.Series([], dtype=str),
-                    "last_click_ts": pd.Series([], dtype=object),
-                }
-            )
-        joined = pd.merge_asof(
-            buys[["event_id", "user_id", "ts"]],
-            clicks[["user_id", "ts"]].rename(columns={"ts": "click_ts"}),
-            left_on="ts",
-            right_on="click_ts",
-            by="user_id",
-            allow_exact_matches=False,
-            direction="backward",
-        )
-        last_click = pd.to_datetime(joined["click_ts"]).dt.strftime("%Y-%m-%d %H:%M:%S.%f")
-        last_click = last_click.astype(object).where(joined["click_ts"].notna(), None)
-        return pd.DataFrame(
-            {
-                "event_id": joined["event_id"].astype(np.int64),
-                "user_id": joined["user_id"].astype(np.int64),
-                "purchase_ts": pd.to_datetime(joined["ts"]).dt.strftime("%Y-%m-%d %H:%M:%S.%f"),
-                "last_click_ts": last_click,
-            }
-        )
-
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_aout(asof_bucket), batch_format="pandas")
+    out = exchange.group_apply(
+        _read(sf_dir, "events", columns=cols), "user_id", cols, _aout(asof), schema
     )
-    return _collect(out.sort("event_id"))
+    return _collect(out, schema=schema).sort_by("event_id")
 
 
 def events_json_k(sf_dir: str) -> rd.Dataset:
@@ -1200,26 +1118,41 @@ def order_value_buckets(sf_dir: str) -> pa.Table:
 def customer_running_totals(sf_dir: str) -> pa.Table:
     """Per customer, orders in (o_orderdate, o_orderkey) order with the
     running total of order value — the ordered-window aggregate Ray Data has
-    no primitive for, composed as groupby(key).map_groups with an in-group
-    sort. Cumulative sums are computed over per-row cent-rounded values in a
-    DEFINED order, so both engines produce bit-identical doubles.
+    no primitive for, composed as ``exchange.group_apply`` on o_custkey with
+    one sort and one per-customer cumulative sum per hash range. Cumulative
+    sums are computed over per-row cent-rounded values in a DEFINED order,
+    so both engines produce bit-identical doubles.
     """
-    ds = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
+    cols = ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
 
-    def running(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_orderdate", "o_orderkey"], kind="mergesort")
-        vals = _rha(df["o_totalprice"], 2)
+    def running(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(
+            ["o_custkey", "o_orderdate", "o_orderkey"], kind="mergesort"
+        )
+        vals = df.assign(v=_rha(df["o_totalprice"], 2)).groupby("o_custkey")["v"]
         return pd.DataFrame(
             {
                 "o_custkey": df["o_custkey"].astype(np.int64),
                 "o_orderkey": df["o_orderkey"].astype(np.int64),
                 "o_orderdate": pd.to_datetime(df["o_orderdate"]).dt.strftime("%Y-%m-%d"),
-                "running_total": _rha(np.cumsum(vals), 2),
+                "running_total": _rha(vals.cumsum(), 2),
             }
         )
 
-    out = ds.groupby("o_custkey").map_groups(_aout(running), batch_format="pandas")
-    return _collect(out.sort(["o_custkey", "o_orderkey"]))
+    schema = pa.schema(
+        [
+            ("o_custkey", pa.int64()),
+            ("o_orderkey", pa.int64()),
+            ("o_orderdate", pa.string()),
+            ("running_total", pa.float64()),
+        ]
+    )
+    out = exchange.group_apply(
+        _read(sf_dir, "orders", columns=cols), "o_custkey", cols, _aout(running), schema
+    )
+    return _collect(out, schema=schema).sort_by(
+        [("o_custkey", "ascending"), ("o_orderkey", "ascending")]
+    )
 
 
 def customer_name_numbers(sf_dir: str) -> rd.Dataset:
@@ -1380,25 +1313,23 @@ def party_names(sf_dir: str) -> rd.Dataset:
 RANGE_WINDOW_MIN = 30
 
 
-def events_range_counts(
-    sf_dir: str, window_min: int = RANGE_WINDOW_MIN, n_buckets: int = 256
-) -> pa.Table:
+def events_range_counts(sf_dir: str, window_min: int = RANGE_WINDOW_MIN) -> pa.Table:
     """Interval/range join: for every purchase, count the same user's events
     in the trailing window ``[ts - window, ts)`` (strictly prior).
 
-    Ray Data has no range-join primitive; the distributed shape is the
-    equality key (user) hashed into chunky buckets (the sessionization
-    pattern), then ONE probe-merge per bucket: events and window-boundary
+    Ray Data has no range-join primitive; the distributed shape is
+    ``exchange.group_apply`` on the equality key (user), then ONE
+    probe-merge per hash range: events and window-boundary
     probes are lexsorted together on (user, ts, probe-before-event), so a
     cumulative event count at the two probe positions yields each window's
     count — no per-user loop, no per-row searchsorted, no pairwise join
     blow-up. Shuffle volume is one hash exchange of the events projection.
     """
-    ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
+    cols = ["event_id", "ts", "user_id", "event_type"]
     win = np.timedelta64(window_min * 60 * 1_000_000_000, "ns")
-    add_bucket = _bucket_by_user(n_buckets)
 
-    def lookback(df: pd.DataFrame) -> pd.DataFrame:
+    def lookback(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas()
         uid = df["user_id"].to_numpy()
         ts = df["ts"].to_numpy(dtype="datetime64[ns]")
         etype = df["event_type"].to_numpy()
@@ -1432,12 +1363,19 @@ def events_range_counts(
             }
         )
 
-    out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_aout(lookback), batch_format="pandas")
+    schema = pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("user_id", pa.int64()),
+            ("ts", pa.string()),
+            ("n_prior", pa.int64()),
+            ("n_clicks_prior", pa.int64()),
+        ]
     )
-    return _collect(out.sort("event_id"))
+    out = exchange.group_apply(
+        _read(sf_dir, "events", columns=cols), "user_id", cols, _aout(lookback), schema
+    )
+    return _collect(out, schema=schema).sort_by("event_id")
 
 
 # ---------------------------------------------------------------------------

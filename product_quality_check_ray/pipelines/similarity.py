@@ -25,8 +25,8 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Max
 
+from ..core import exchange
 from ..core.batches import arrow_out as _aout
 from ..core.collect import collect_table as _collect
 from ..core.rounding import round_half_away as _rha
@@ -457,12 +457,12 @@ def embedding_near_dups_lsh(
     with ``n_tables`` independent tables unioned the recall is
     1-(1-0.35)^T ≈ 0.82 at the default T=4; tests measure recall on a twins
     fixture. Buckets are processed as
-    groups (pairwise cosine inside — bounded by ``max_bucket``); the groupby
-    ships (bucket, vec_id, embedding) rows.
+    groups (pairwise cosine inside — bounded by ``max_bucket``); the
+    exchange ships (bucket, vec_id, embedding) rows.
     """
     # one bucketing pass emits all T tables' bucket columns; the corpus is
     # materialized once and grouped per table (union of per-table pairs,
-    # deduped by the Max-cosine aggregate below)
+    # deduped by the max-cosine reduce below)
     buckets = _emb(sf_dir, columns=["vec_id", "embedding"]).map_batches(
         LshBucketStage(n_tables=n_tables), batch_format="pyarrow"
     ).materialize()
@@ -495,54 +495,38 @@ def embedding_near_dups_lsh(
             }
         )
 
-    # per table: hash the 2^LSH_PLANES tiny buckets into ~64 chunky
-    # supergroups (per-tiny-group map_groups overhead is the measured
-    # pathology — BASELINE.md), then score each inner bucket separately
-    # inside the group
+    # per table: ``exchange.group_apply`` on that table's bucket column, then
+    # each bucket in a hash range scored separately (one kernel call per
+    # range, not per tiny bucket)
     def pairs_in_buckets(col):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            frames = [pairs(sub) for _, sub in df.groupby(col, sort=False)]
-            frames = [f for f in frames if len(f)]
-            if not frames:
-                return pairs(df.iloc[:0])
+        def fn(t: pa.Table) -> pd.DataFrame:
+            frames = [pairs(sub) for _, sub in t.to_pandas().groupby(col, sort=False)]
             return pd.concat(frames, ignore_index=True)
 
         return fn
 
-    from ..core.hashing import hash_ints
-
+    schema = pa.schema(
+        [("vec_id_a", pa.int64()), ("vec_id_b", pa.int64()), ("cosine", pa.float64())]
+    )
     per_table = []
     for i in range(n_tables):
         col = "bucket" if i == 0 else f"bucket_{i}"
-
-        def add_sg(t: pa.Table, col=col) -> pa.Table:
-            b = t.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
-            sg = (hash_ints(b) % np.uint64(64)).astype(np.int64)
-            return t.append_column("sg", pa.array(sg))
-
         per_table.append(
-            buckets.select_columns([col, "vec_id", "embedding"])
-            .map_batches(add_sg, batch_format="pyarrow")
-            .groupby("sg")
-            .map_groups(pairs_in_buckets(col), batch_format="pandas")
+            exchange.group_apply(
+                buckets, col, [col, "vec_id", "embedding"], _aout(pairs_in_buckets(col)), schema
+            )
         )
+
+    def max_cosine(t: pa.Table) -> pa.Table:  # a pair may collide in >1 bucket/table
+        m = t.group_by(["vec_id_a", "vec_id_b"]).aggregate([("cosine", "max")])
+        return pa.table(
+            {"vec_id_a": m["vec_id_a"], "vec_id_b": m["vec_id_b"], "cosine": m["cosine_max"]}
+        )
+
     unioned = per_table[0].union(*per_table[1:]) if len(per_table) > 1 else per_table[0]
-    out = (
-        unioned
-        .groupby(["vec_id_a", "vec_id_b"])  # a pair may collide in >1 bucket/table
-        .aggregate(Max("cosine", alias_name="cosine"))
-    )
-
-    def to_types(df: pd.DataFrame) -> pd.DataFrame:
-        df["vec_id_a"] = df["vec_id_a"].astype(np.int64)
-        df["vec_id_b"] = df["vec_id_b"].astype(np.int64)
-        return df
-
-    return _collect(
-        out.map_batches(to_types, batch_format="pandas").sort(["vec_id_a", "vec_id_b"]),
-        schema=pa.schema(
-            [("vec_id_a", pa.int64()), ("vec_id_b", pa.int64()), ("cosine", pa.float64())]
-        ),
+    out = exchange.group_apply(unioned, "vec_id_a", schema.names, max_cosine, schema)
+    return _collect(out, schema=schema).sort_by(
+        [("vec_id_a", "ascending"), ("vec_id_b", "ascending")]
     )
 
 

@@ -1206,12 +1206,6 @@ def _minhash_band_task(t: pa.Table) -> pa.Table:
     )
 
 
-def _exact_jaccard(h1: np.ndarray, h2: np.ndarray) -> float:
-    inter = np.intersect1d(h1, h2, assume_unique=True).size
-    union = h1.size + h2.size - inter
-    return inter / union if union else 1.0
-
-
 def doc_minhash_dups(
     sf_dir: str, threshold: float = 0.8, max_bucket: int = 64
 ) -> pa.Table:

@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 
 import ray.data as rd
 
+from ..core import exchange
 from ..core.collect import collect_table as _collect
 from ..core.batches import arrow_out as _aout
 from ..core.rounding import round_half_away as _rha
@@ -440,23 +441,14 @@ def doc_best_dict_match(sf_dir: str) -> pa.Table:
         out = df.groupby(["doc_id", "canonical"], as_index=False).head(1)
         return out.drop(columns=["_exact"])
 
-    # local argmax per batch, then exact argmax per doc-id BUCKET: ``best``
-    # already reduces per (doc_id, canonical) inside any frame holding whole
-    # groups, so hashing doc_ids into ~256 chunky buckets avoids the
-    # per-tiny-group map_groups pathology (BASELINE.md) while keeping the
-    # reduce exact
+    # local argmax per batch, then exact argmax per hash range of doc_id:
+    # ``best`` reduces per (doc_id, canonical) inside any frame holding
+    # whole groups, and a range holds every row of its doc_ids
+    schema = _empty_match_table().schema
     local = matches.map_batches(_aout(best), batch_format="pandas")
-
-    from ..core.salting import hash_bucket_stage
-
-    add_bucket = hash_bucket_stage("doc_id", 256)
-
-    def best_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return best(df.drop(columns=["bucket"]))
-
-    final = (
-        local.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(_aout(best_bucket), batch_format="pandas")
+    final = exchange.group_apply(
+        local, "doc_id", schema.names, _aout(lambda t: best(t.to_pandas())), schema
     )
-    return _collect(final.sort(["doc_id", "canonical"]), schema=_empty_match_table().schema)
+    return _collect(final, schema=schema).sort_by(
+        [("doc_id", "ascending"), ("canonical", "ascending")]
+    )

@@ -22,6 +22,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from ..core import exchange
 from ..core.schema import MAX_N_TOK_DEFAULT
 from .text import _docs, _split_words
 
@@ -246,7 +247,7 @@ def _pack_plan(lens: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, n
     Boundaries advance by galloping `searchsorted` over the prefix-sum —
     O(packs) iterations of O(log n), not O(docs) Python steps; with ~B/avg
     docs per pack the loop is ~10× shorter than the row count, and it runs
-    once per shard inside a map_groups task, never on the driver.
+    once per shard inside a ``group_apply`` range task, never on the driver.
 
     Returns (pack_id, pack_pos, tok_offset) per doc, in input order.
     """
@@ -276,8 +277,8 @@ def doc_pack_examples(
     The metadata half of example packing (the design that survives 100 TB):
     pass 1 reduces each doc to a 32-byte row (doc_id, shard, shuffle_key,
     n_words) — payload text never shuffles; the per-shard greedy walk runs
-    in a `groupby(shard).map_groups` over n_shards chunky groups (each task
-    sorts its shard by (shuffle_key, doc_id) and emits the pack plan). The
+    in ``exchange.group_apply`` on the shard (each range task sorts its
+    shards by (shuffle_key, doc_id) and emits each shard's pack plan). The
     actual token gather happens at read time from the plan. Packing is
     inherently sequential WITHIN a shard, so scale-out is by `n_shards`
     (pick shards so one shard's metadata fits a worker: 16 here, ~64k at
@@ -301,44 +302,45 @@ def doc_pack_examples(
             }
         )
 
-    empty = pa.table(
-        {
-            "doc_id": pa.array([], type=pa.int64()),
-            "shard": pa.array([], type=pa.int64()),
-            "pack_id": pa.array([], type=pa.int64()),
-            "pack_pos": pa.array([], type=pa.int64()),
-            "tok_offset": pa.array([], type=pa.int64()),
-            "n_words": pa.array([], type=pa.int64()),
-        }
+    schema = pa.schema(
+        [
+            (c, pa.int64())
+            for c in ("doc_id", "shard", "pack_id", "pack_pos", "tok_offset", "n_words")
+        ]
     )
 
     def pack_group(t: pa.Table) -> pa.Table:
-        # Ray can hand map_groups a zero-row (even zero-column) block for
-        # empty partitions — return the typed empty table so schemas union
-        if t.num_rows == 0 or "doc_id" not in t.column_names:
-            return empty
+        # a range holds several shards: one greedy walk per shard, in
+        # (shard, shuffle_key, doc_id) order
         ids = t.column("doc_id").to_numpy(zero_copy_only=False)
+        shard = t.column("shard").to_numpy(zero_copy_only=False)
         key = t.column("shuffle_key").to_numpy(zero_copy_only=False)
         lens = t.column("n_words").to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, key))  # shuffle_key primary, doc_id tiebreak
-        ids, key, lens = ids[order], key[order], lens[order]
-        pack_id, pack_pos, tok_offset = _pack_plan(lens, budget)
+        order = np.lexsort((ids, key, shard))
+        ids, shard, lens = ids[order], shard[order], lens[order]
+        starts = np.flatnonzero(np.r_[True, shard[1:] != shard[:-1]])
+        plans = [
+            _pack_plan(lens[lo:hi], budget)
+            for lo, hi in zip(starts, [*starts[1:], len(ids)])
+        ]
+        pack_id, pack_pos, tok_offset = (np.concatenate(p) for p in zip(*plans))
         return pa.table(
             {
-                "doc_id": pa.array(ids),
-                "shard": t.column("shard").take(pa.array(order)),
-                "pack_id": pa.array(pack_id),
-                "pack_pos": pa.array(pack_pos),
-                "tok_offset": pa.array(tok_offset),
-                "n_words": pa.array(lens),
+                "doc_id": ids,
+                "shard": shard,
+                "pack_id": pack_id,
+                "pack_pos": pack_pos,
+                "tok_offset": tok_offset,
+                "n_words": lens,
             }
         )
 
-    return (
-        _docs(sf_dir, columns=["doc_id", "text"])
-        .map_batches(meta, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(pack_group, batch_format="pyarrow")
+    return exchange.group_apply(
+        _docs(sf_dir, columns=["doc_id", "text"]).map_batches(meta, batch_format="pyarrow"),
+        "shard",
+        ["doc_id", "shard", "shuffle_key", "n_words"],
+        pack_group,
+        schema,
     )
 
 

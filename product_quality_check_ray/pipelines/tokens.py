@@ -1496,10 +1496,6 @@ def _training_rows_from_view(sfx, offs, vals, lens, sel, holdout: bool = True):
     return sel2, sfx[idx], offs2, vals2, lens2
 
 
-def _capstone_holdout_grams(t: pa.Table) -> pa.Table:
-    return _holdout_grams_from_view(*_capstone_view(t))
-
-
 _EMPTY_GRAMS = pa.table({"g": pa.array([], type=_GRAM_TYPE)})
 
 

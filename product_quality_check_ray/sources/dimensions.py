@@ -20,16 +20,6 @@ from ..core.schema import SOURCE_ALLOWLIST, VOCAB
 from ..datagen import reference_histograms
 
 
-def allowlist_table() -> pa.Table:
-    """The `source_allowlist` dimension as an Arrow table (FIXTURES.md §3)."""
-    return pa.Table.from_pylist(
-        SOURCE_ALLOWLIST,
-        schema=pa.schema(
-            [("source", pa.string()), ("status", pa.string()), ("max_n_tok", pa.int32())]
-        ),
-    )
-
-
 def build_check_ctx(
     allowlist: "list[dict] | None" = None,
     vocab: int = VOCAB,

@@ -20,9 +20,9 @@ efficiently, here):
 
 Scale notes (10^12 rows, 256 nodes): the reduce moves 8 bytes/row of hash +
 8 of count — ~2% of a token-corpus's bytes — and hash ranges give perfectly
-uniform partitioning regardless of doc_id skew (the salting the north rule
-asks for falls out of hashing). Steps 1–2 are one ``core.exchange.run``
-level: the file-fed map stays below 128 groups (``file_groups``), and a
+uniform partitioning regardless of doc_id skew (skew safety comes from the
+hash ranges and the per-map (key, count) combine, not a salting stage).
+Steps 1–2 are one ``core.exchange.run`` level: the file-fed map stays below 128 groups (``file_groups``), and a
 block-fed input runs one map per ``exchange.BLOCKS_PER_TASK`` blocks.
 ``_combine_range`` is the middle level of a TWO-LEVEL reduce
 (fragment-wave partials → range partials, so per-task ObjectRef counts

@@ -2,8 +2,8 @@
 
 The LSH family of dedup operators (MinHash bands, SimHash pieces, shingle
 inverted index) all end with "group rows by a key, emit doc-id pairs that
-share a key". ``Dataset.groupby(key).map_groups`` expresses that but pays
-per-group task overhead — pathological for millions of tiny buckets
+share a key". Ray Data's ``groupby(key).map_groups`` expressed that but
+paid per-group task overhead — pathological for millions of tiny buckets
 (measured 8–20 s on inputs whose pair output is a handful of rows). This
 module reduces the SAME semantics with one ``core.exchange.run``:
 

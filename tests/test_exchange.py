@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -292,3 +293,92 @@ def test_routing_lives_only_in_exchange():
         and ".options(num_returns=" in open(os.path.join(PKG, rel)).read()
     ]
     assert offenders == []
+
+
+def test_no_map_groups_in_library():
+    """Every keyed apply runs on ``exchange.group_apply``: no Ray Data
+    ``.map_groups(`` call is left in the package."""
+    offenders = [
+        os.path.relpath(p, PKG)
+        for p in glob.glob(os.path.join(PKG, "**", "*.py"), recursive=True)
+        if ".map_groups(" in open(p).read()
+    ]
+    assert offenders == []
+
+
+_CALLS = pa.schema([("rows", pa.int64()), ("keys", pa.int64())])
+
+
+def _group_apply_calls(tables) -> pa.Table:
+    """``group_apply`` over ``tables`` with an ``fn`` that returns one row
+    per call: the rows and distinct keys it saw (int32, so the cast to the
+    declared schema is exercised)."""
+    import ray.data as rd
+
+    from product_quality_check_ray.core.collect import collect_table
+
+    def calls(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "rows": pa.array([t.num_rows], type=pa.int32()),
+                "keys": pa.array([len(pc.unique(t.column("k")))], type=pa.int32()),
+            }
+        )
+
+    out = exchange.group_apply(rd.from_arrow(tables), "k", ["k", "v"], calls, _CALLS)
+    return collect_table(out, schema=_CALLS)
+
+
+def test_group_apply_degenerate_inputs(ray_session, monkeypatch):
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 2)
+    for typ in (pa.int64(), pa.string()):
+        empty = pa.table({"k": pa.array([], type=typ), "v": pa.array([], type=pa.int64())})
+        got = _group_apply_calls([empty])
+        assert got.schema == _CALLS and got.num_rows == 0  # fn never called
+
+        one = pa.table({"k": pa.array([7 if typ == pa.int64() else "x"], type=typ), "v": [1]})
+        assert _group_apply_calls([one]).to_pylist() == [{"rows": 1, "keys": 1}]
+
+        # all-null keys across several map tasks: one call holding every row
+        nulls = pa.table({"k": pa.nulls(60, type=typ), "v": pa.array(range(60))})
+        got = _group_apply_calls([nulls.slice(i, 10) for i in range(0, 60, 10)])
+        assert got.to_pylist() == [{"rows": 60, "keys": 1}]
+
+
+def test_group_apply_keeps_keys_whole(ray_session, monkeypatch):
+    """Each key's rows land in one call, whatever the range count; null
+    keys count as one more key."""
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 2)
+    rng = np.random.default_rng(9)
+    keys = [None if i % 7 == 0 else int(x) for i, x in enumerate(rng.integers(0, 50, 800))]
+    t = pa.table({"k": pa.array(keys, type=pa.int64()), "v": pa.array(range(800))})
+    for r in (2, 3, 8):
+        monkeypatch.setattr(exchange, "range_count", lambda ranges=None, cap=None, r=r: r)
+        got = _group_apply_calls([t.slice(i, 100) for i in range(0, 800, 100)])
+        assert got.num_rows <= r
+        assert sum(got.column("rows").to_pylist()) == 800
+        assert sum(got.column("keys").to_pylist()) == 51
+
+
+def test_group_apply_queries_range_invariant(ray_session, monkeypatch):
+    """user_sessions (many users per range), grouped_topk_orders (5 string
+    keys, so some of 8 ranges are empty) and doc_pack_examples (several of
+    the 16 shards per range) give identical results at 2, 3 and 8 ranges."""
+    from product_quality_check_ray.pipelines.relational import (
+        grouped_topk_orders,
+        user_sessions,
+    )
+    from product_quality_check_ray.pipelines.textprep import doc_pack_examples
+    from test_operators import SF_SMALL as sf
+
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 2)
+    runs = []
+    for r in (2, 3, 8):
+        monkeypatch.setattr(exchange, "range_count", lambda ranges=None, cap=None, r=r: r)
+        packs = doc_pack_examples(sf).to_pandas().sort_values("doc_id").reset_index(drop=True)
+        runs.append((user_sessions(sf), grouped_topk_orders(sf), packs))
+    sessions, topk, packs = runs[0]
+    assert sessions.num_rows > 0 and topk.num_rows == 15 and packs["shard"].nunique() == 16
+    for s, k, p in runs[1:]:
+        assert s.equals(sessions) and k.equals(topk)
+        pd.testing.assert_frame_equal(p, packs)

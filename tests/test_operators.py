@@ -530,22 +530,6 @@ def test_route_and_adjudicate(ray_session, tmp_path):
     assert (verdicts["token_entropy"] >= 0).all()
 
 
-def test_salted_sum_matches_plain(ray_session, tmp_path):
-    import pandas as pd
-    import ray.data as rd
-
-    from product_quality_check_ray.core.salting import salted_sum
-
-    rng = np.random.default_rng(2)
-    # skewed key: 'hot' holds ~70% of rows
-    keys = rng.choice(["hot", "a", "b", "c"], p=[0.7, 0.1, 0.1, 0.1], size=20000)
-    df = pd.DataFrame({"k": keys, "v": rng.integers(0, 10, size=20000).astype(np.int64)})
-    ds = rd.from_arrow([pa.Table.from_pandas(df.iloc[i : i + 5000], preserve_index=False) for i in range(0, 20000, 5000)])
-    got = salted_sum(ds, "k", "v", num_salts=8).to_pandas().set_index("k")["v"].to_dict()
-    want = df.groupby("k")["v"].sum().to_dict()
-    assert got == want
-
-
 def test_dict_match_normalizes_before_matching(ray_session, tmp_path):
     """Mixed case / markup / mojibake text must match the lowercase
     dictionary (regression: the spine matched raw words)."""
@@ -858,22 +842,33 @@ def test_npm_four_pass_rules(ray_session):
     assert out.loc["hi-a", "audit_flag"] == "ok"
 
 
-def test_bucketed_kernels_match_map_groups(ray_session):
-    """user_sessions / events_asof bucketed kernels (the defaults) must equal
-    the per-user map_groups kernels row-for-row."""
-    from product_quality_check_ray.pipelines.relational import (
-        events_asof_bucketed,
-        events_asof_map_groups,
-        user_sessions_bucketed,
-        user_sessions_map_groups,
-    )
+GROUP_APPLY_QUERIES = [
+    "grouped_topk_orders",
+    "customer_running_totals",
+    "user_sessions",
+    "events_asof_last_click",
+    "events_range_counts",
+    "doc_best_dict_match",
+    "embedding_near_dups_lsh",
+    "doc_pack_examples",
+]
 
-    a = user_sessions_map_groups(SF_SMALL).to_pandas().reset_index(drop=True)
-    b = user_sessions_bucketed(SF_SMALL).to_pandas().reset_index(drop=True)
-    assert a.equals(b)
-    c = events_asof_map_groups(SF_SMALL).to_pandas().reset_index(drop=True)
-    d = events_asof_bucketed(SF_SMALL).to_pandas().reset_index(drop=True)
-    assert c.equals(d)
+
+@pytest.mark.parametrize("name", GROUP_APPLY_QUERIES)
+def test_group_apply_queries_match_oracle(ray_session, name):
+    """Every query on ``exchange.group_apply`` equals its DuckDB oracle:
+    exact values and dtype classes, as the query gate grades them."""
+    import __ray_entry__ as e
+    from tools.check_queries import compare, connect, to_pandas
+
+    mine = to_pandas(e.queries()[name](SF_SMALL))
+    con = connect(SF_SMALL)
+    try:
+        oracle = con.sql(e.oracle_sql()[name]).df()
+    finally:
+        con.close()
+    assert len(mine) > 0
+    assert compare(name, mine, oracle) == []
 
 
 def test_exact_dedup_null_text_docs(ray_session, tmp_path):
@@ -967,16 +962,6 @@ def test_embedding_near_dups_lsh_recall_multi_table(ray_session, tmp_path):
     mine = set(zip(got["vec_id_a"], got["vec_id_b"]))
     assert len(truth) >= 100
     assert len(mine & truth) / len(truth) >= 0.99
-
-
-def test_bucketed_kernels_invariant_to_bucket_count(ray_session):
-    """n_buckets is a pure performance knob: 7 vs 256 buckets must give
-    identical sessionization output (whole-user co-location holds in both)."""
-    from product_quality_check_ray.pipelines.relational import user_sessions_bucketed
-
-    a = user_sessions_bucketed(SF_SMALL, n_buckets=7).to_pandas().reset_index(drop=True)
-    b = user_sessions_bucketed(SF_SMALL, n_buckets=256).to_pandas().reset_index(drop=True)
-    assert a.equals(b)
 
 
 def test_kmeans_fit_recovers_clusters(fixture_dir):

@@ -102,6 +102,21 @@ def compare(name: str, mine: pd.DataFrame, oracle: pd.DataFrame) -> list[str]:
     return problems
 
 
+def connect(sf_dir: str) -> "duckdb.DuckDBPyConnection":
+    """A fresh DuckDB connection with one view per testdata table.
+
+    One connection per query: a single long-lived connection across ~160
+    heavy oracles fragments the allocator into >64k anonymous mmaps and
+    dies on vm.max_map_count ("Out of Memory Error" / "can't start new
+    thread" with 100 GB free — round-5 diagnosis); closing the connection
+    releases its maps."""
+    c = duckdb.connect()
+    c.sql("SET temp_directory='/tmp/duckdb_gate_tmp'")
+    for t in TABLES:
+        c.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
+    return c
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
@@ -116,19 +131,6 @@ def main():
 
     qs = e.queries()
     oracles = e.oracle_sql()
-    def fresh_con():
-        # one connection per query: a single long-lived connection across
-        # ~160 heavy oracles fragments the allocator into >64k anonymous
-        # mmaps and dies on vm.max_map_count ("Out of Memory Error" /
-        # "can't start new thread" with 100 GB free — round-5 diagnosis);
-        # closing the connection releases its maps
-        c = duckdb.connect()
-        c.sql("SET temp_directory='/tmp/duckdb_gate_tmp'")
-        for t in TABLES:
-            c.sql(
-                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
-            )
-        return c
 
     n_pass = n_fail = 0
     for name, fn in qs.items():
@@ -150,7 +152,7 @@ def main():
         if "sf0.01" in sql and "sf0.01" not in sf_dir:
             sql = sql.replace("sf0.01", sf_dir.rstrip("/").split("/")[-1])
         try:
-            con = fresh_con()
+            con = connect(sf_dir)
             try:
                 oracle = con.sql(sql).df()
             finally:
