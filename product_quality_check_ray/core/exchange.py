@@ -115,11 +115,16 @@ def map_ranges(map_task, inputs: list, ranges: int, *args) -> list:
     ]
 
 
-def reduce_ranges(mapped: list, reduce_task, ranges: int, *args) -> list:
+def reduce_ranges(
+    mapped: list, reduce_task, ranges: int, *args, returns: int = 1
+) -> list:
     """One ObjectRef per hash range: ``reduce_task(*args, *parts)``, where
     ``parts`` holds the range's partial from each map in ``mapped`` order.
     The refs (not the data) are routed, so Ray dereferences them
-    worker-side."""
+    worker-side. ``returns > 1`` gives each range a list of that many refs
+    (``num_returns=returns``)."""
+    if returns > 1:
+        reduce_task = reduce_task.options(num_returns=returns)
     return [
         reduce_task.remote(*args, *[m[r] for m in mapped]) for r in range(ranges)
     ]
@@ -133,10 +138,14 @@ def run(
     *,
     map_args: tuple = (),
     reduce_args: tuple = (),
+    reduce_returns: int = 1,
 ) -> list:
-    """``reduce_ranges(map_ranges(...))``: one ObjectRef per hash range."""
+    """``reduce_ranges(map_ranges(...))``: one ObjectRef per hash range (a
+    list of ``reduce_returns`` refs when that is above 1)."""
     mapped = map_ranges(map_task, inputs, ranges, *map_args)
-    return reduce_ranges(mapped, reduce_task, ranges, *reduce_args)
+    return reduce_ranges(
+        mapped, reduce_task, ranges, *reduce_args, returns=reduce_returns
+    )
 
 
 def group_apply(ds, key: str, columns: list[str], fn, schema: pa.Schema):

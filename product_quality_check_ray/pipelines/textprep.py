@@ -843,29 +843,20 @@ def seq_pack_plan(
     meta_ds = _seq_ds(sf_dir, columns=["doc_id", "n_tok"]).map_batches(
         meta, batch_format="pyarrow"
     )
-    # shard→walk via the raw-task tree (state/dupfinder pattern), NOT
-    # groupby().map_groups: Ray's Sort operator cost ~7 s of an 8.9 s wall
-    # at 800k rows (measured; the 256 chunky groups themselves are fine) —
-    # a map-split by shard range + one vectorized reduce per range is the
-    # same exchange with two task waves
-    bundles = list(meta_ds.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    if not block_refs:
-        return rd.from_arrow([_SEQ_PACK_EMPTY])
-    from ..core.exchange import range_count
-
-    ranges = range_count(cap=n_shards)
-    per = 8
-    mapped = [
-        _seq_pack_split.options(num_returns=ranges).remote(
-            block_refs[i : i + per], ranges, n_shards
+    # shard→walk on the exchange (a map-split by shard range + one
+    # vectorized reduce per range), NOT groupby().map_groups: Ray's Sort
+    # operator cost ~7 s of an 8.9 s wall at 800k rows (measured; the 256
+    # chunky groups themselves are fine)
+    return rd.from_arrow_refs(
+        exchange.run(
+            _seq_pack_split,
+            exchange.block_groups(meta_ds),
+            _seq_pack_reduce,
+            exchange.range_count(cap=n_shards),
+            map_args=(n_shards,),
+            reduce_args=(budget,),
         )
-        for i in range(0, len(block_refs), per)
-    ]
-    tables = [
-        _seq_pack_reduce.remote(budget, *[m[r] for m in mapped]) for r in range(ranges)
-    ]
-    return rd.from_arrow_refs(tables)
+    )
 
 
 _SEQ_PACK_EMPTY = pa.table(
@@ -880,30 +871,44 @@ _SEQ_PACK_EMPTY = pa.table(
 )
 
 
-@ray.remote
-def _seq_pack_split(block_refs: list, ranges: int, n_shards: int):
-    """Map task: split meta blocks into contiguous shard ranges
-    (``num_returns=ranges``); a shard's rows all land in one range."""
-    blocks = ray.get(list(block_refs))
-    tables = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b]) for b in blocks]
-    tables = [x for x in tables if x.num_rows > 0]
-    if not tables:
-        return tuple(None for _ in range(ranges)) if ranges > 1 else None
-    t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+def _shard_range_split(t: "pa.Table | None", ranges: int, n_shards: int) -> tuple:
+    """The rows of a pack-meta table in contiguous shard ranges, one table
+    per range (None when it gets no rows): shard ``s`` goes to range
+    ``s // ceil(n_shards / ranges)``, so a shard's rows all land in one
+    range."""
+    if t is None or t.num_rows == 0:
+        return (None,) * ranges
     shard = t.column("shard").to_numpy(zero_copy_only=False)
     width = -(-n_shards // ranges)  # ceil: shard // width ∈ [0, ranges)
     order = np.argsort(shard, kind="stable")
     bounds = np.searchsorted(shard[order], np.arange(1, ranges) * width)
-    parts = []
-    for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
-        parts.append(t.take(pa.array(order[lo:hi])) if hi > lo else None)
-    return tuple(parts) if ranges > 1 else parts[0]
+    return tuple(
+        t.take(pa.array(order[lo:hi])) if hi > lo else None
+        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(order)])
+    )
+
+
+@ray.remote
+def _seq_pack_split(block_refs: list, ranges: int, n_shards: int) -> tuple:
+    """Map task: a group of meta blocks split into shard ranges."""
+    blocks = ray.get(list(block_refs))
+    tables = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b]) for b in blocks]
+    tables = [x for x in tables if x.num_rows > 0]
+    return _shard_range_split(
+        pa.concat_tables(tables) if tables else None, ranges, n_shards
+    )
 
 
 @ray.remote
 def _seq_pack_reduce(budget: int, *parts) -> pa.Table:
-    """Reduce task: sort one shard range by (shard, shuffle_key, doc_num,
-    n_tok) and run the greedy walk per shard segment."""
+    """Reduce task: ``_pack_walk`` over one shard range."""
+    return _pack_walk(budget, parts)
+
+
+def _pack_walk(budget: int, parts) -> pa.Table:
+    """One shard range's plan: its meta ``parts`` (None for empty ones)
+    sorted by (shard, shuffle_key, doc_num, n_tok), then the greedy walk
+    per shard segment. Rows come out in ascending shard order."""
     tables = [p for p in parts if p is not None]
     if not tables:
         return _SEQ_PACK_EMPTY
@@ -1038,30 +1043,16 @@ def seq_pack_execute(
     ds = _seq_ds(sf_dir, columns=["doc_id", "n_tok", "tokens"]).map_batches(
         meta, batch_format="pyarrow"
     )
-    bundles = list(ds.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    empty = (
-        _SEQ_PACKX_SCHEMA.append(pa.field("tokens", pa.large_list(pa.int32())))
-        if with_payload
-        else _SEQ_PACKX_SCHEMA
-    ).empty_table()
-    if not block_refs:
-        return rd.from_arrow([empty])
-    from ..core.exchange import range_count
-
-    ranges = range_count(cap=n_shards)
-    per = 8
-    mapped = [
-        _seq_pack_split.options(num_returns=ranges).remote(
-            block_refs[i : i + per], ranges, n_shards
+    return rd.from_arrow_refs(
+        exchange.run(
+            _seq_pack_split,
+            exchange.block_groups(ds),
+            _seq_packx_reduce,
+            exchange.range_count(cap=n_shards),
+            map_args=(n_shards,),
+            reduce_args=(budget, with_payload),
         )
-        for i in range(0, len(block_refs), per)
-    ]
-    tables = [
-        _seq_packx_reduce.remote(budget, with_payload, *[m[r] for m in mapped])
-        for r in range(ranges)
-    ]
-    return rd.from_arrow_refs(tables)
+    )
 
 
 def _lex_tie_resolve(

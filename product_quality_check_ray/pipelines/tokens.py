@@ -280,8 +280,9 @@ class GramIndex:
     def from_sorted(cls, keymat: np.ndarray, h: np.ndarray) -> "GramIndex":
         """Assemble from ALREADY hash-sorted keys: the driver's remaining
         work is O(n) (bitmap scatter + packbits) — the O(n log n) sort and
-        the keymat gather happen upstream (distributed sort in
-        ``holdout_gram_index``). Intra-run order of equal hashes is
+        the keymat gather happen upstream (the distributed sort in
+        ``holdout_gram_index``, or the capstone's per-range scout reduces
+        concatenated in range order). Intra-run order of equal hashes is
         irrelevant: ``member`` scans collision runs exhaustively."""
         n = max(len(keymat), 1)
         bits = 1 << max(20, min(30, int(np.ceil(np.log2(n * 64)))))
@@ -380,10 +381,10 @@ def gram_index_from_ds(
     grams: rd.Dataset, *, distributed: bool | None = None
 ) -> GramIndex:
     """GramIndex from any Dataset carrying a ``g`` fixed-size-binary gram
-    column (the ``holdout_gram_index`` decision logic, shared with the
-    capstone's scout-pass gram stream): below GRAM_INDEX_SORT_GRAMS the
-    driver argsort wins; above it the hash sort runs as a distributed
-    ``Dataset.sort`` exchange and the driver only does the O(n) assembly."""
+    column (``holdout_gram_index``'s decision logic): below
+    GRAM_INDEX_SORT_GRAMS the driver argsort wins; above it the hash sort
+    runs as a distributed ``Dataset.sort`` exchange and the driver only does
+    the O(n) assembly."""
     if distributed is None:
         # the gram stream is small relative to the corpus (a
         # 1/DECON_HOLD_MOD row sample); materializing it makes count() free
@@ -1496,23 +1497,19 @@ def _training_rows_from_view(sfx, offs, vals, lens, sel, holdout: bool = True):
     return sel2, sfx[idx], offs2, vals2, lens2
 
 
-_EMPTY_GRAMS = pa.table({"g": pa.array([], type=_GRAM_TYPE)})
-
-
-def _holdout_grams_from_view(sfx, offs, vals, _lens, _sel) -> pa.Table:
-    """Benchmark gram combiner over the CAPSTONE view's holdout slice."""
+def _holdout_grams_from_view(sfx, offs, vals, _lens, _sel) -> np.ndarray:
+    """Unique (n, DECON_K) int32 gram keys of the CAPSTONE view's holdout
+    slice (the benchmark gram combiner)."""
     hold = np.flatnonzero((sfx >= 0) & (sfx % DECON_HOLD_MOD == 0))
     if hold.size == 0:
-        return pa.table({"g": pa.array([], type=_GRAM_TYPE)})
+        return np.empty((0, DECON_K), dtype=np.int32)
     # gather holdout rows' segments into a compact buffer
     lens = offs[1:] - offs[:-1]
     ch = lens[hold]
     sub = vals[np.repeat(offs[:-1][hold], ch) + _intra(ch)]
     soff = np.concatenate(([0], np.cumsum(ch)))
     win, _, _ = _gram_windows(soff, sub, DECON_K)
-    u = np.unique(_void(win, DECON_K))
-    garr = pa.Array.from_buffers(_GRAM_TYPE, len(u), [None, pa.py_buffer(u.tobytes())])
-    return pa.table({"g": garr})
+    return np.unique(_void(win, DECON_K)).view(np.int32).reshape(-1, DECON_K)
 
 
 def prepare_training_sequences(
@@ -1540,28 +1537,46 @@ def prepare_training_sequences(
       → greedy pack plan (the ``seq_pack_plan`` shard-range walk over the
         survivors, n_eff = augmented length as cost)
 
-    Dataflow (THREE reads of storage, the minimum under the two inherent
-    barriers — the gram/hash state must exist before candidates can be
-    recovered, and the loser set before the final filter): the SCOUT pass
-    computes the augmented view once per batch and emits BOTH the holdout
-    gram combiner rows and the training-row content hashes as one union
-    table (one parquet read instead of two); grams build the broadcast
-    index, hashes feed the ``state/dupfinder`` tree reduce; the candidate
-    pass recovers only dup-hash rows and derives the loser set exactly on
-    the driver — keyed by (hash, doc_id) with the candidate ARRAYS kept
-    for an exact byte re-verify, so duplicate doc_ids and 64-bit
-    collisions cannot misfire; the final pass re-reads the corpus ONCE,
-    applies every predicate fused, and feeds 40 B/row metadata into the
-    pack split/reduce. Token payloads never shuffle at any stage.
+    Dataflow: THREE reads of storage, the minimum under the two inherent
+    barriers (the gram/hash state must exist before candidates can be
+    recovered, and the loser set before the final filter). Each read is
+    one plain task per ``dupfinder.file_groups`` group that reads its
+    fragments in bounded 8k-row ``ParquetFile.iter_batches`` batches — no
+    Ray Data read, write or materialize runs inside the call.
+
+    1. SCOUT, one ``core/exchange`` level: the map computes the augmented
+       view once per batch and splits both the training rows' content
+       hashes ((hash, count) pairs) and the holdout's gram keys over the
+       hash ranges; each reduce returns its range's duplicate hashes and
+       its distinct grams sorted by hash. The ranges are contiguous, so
+       the driver only concatenates them in range order and assembles the
+       broadcast ``GramIndex`` in O(n).
+    2. CANDIDATES (only when duplicate hashes exist): one task per group
+       returns the dup-hash rows' (doc_id, hash, token bytes); the driver
+       derives the loser set keyed by (hash, doc_id) with an exact byte
+       re-verify, so duplicate doc_ids and 64-bit collisions cannot
+       misfire.
+    3. FINAL + PACK, a second exchange level: the map applies every
+       predicate fused and splits 40 B/row pack metadata by shard range;
+       each reduce runs the greedy walk over its shards and, with
+       ``out_dir``, writes them as ``shard=<k>/plan.parquet`` itself.
+
+    The result is the in-memory plan (``rd.from_arrow_refs`` over the pack
+    reduces), with or without ``out_dir``; the sink is never read back in
+    the same call. Token payloads never shuffle at any stage.
+
+    Sink: ``out_dir`` holds shard-partitioned parquet plus a
+    ``_PREP_SUCCESS.json`` marker recording the plan parameters. A
+    marker-complete sink with the same parameters short-circuits the whole
+    pipeline (``_read_finished_plan``). Otherwise the stale ``shard=<k>``
+    dirs and marker (a killed run's partial output, or another budget's
+    plan) are removed before the reduces start — nothing else in the
+    directory is touched — and the marker is written only after every
+    reduce has returned. A zero-row plan writes no files and no marker.
     """
-    from .textprep import (
-        SEQ_PACK_BUDGET,
-        SEQ_PACK_SHARDS,
-        _SEQ_PACK_EMPTY,
-        _seq_pack_reduce,
-        _seq_pack_split,
-        _shard_cols,
-    )
+    from ..datagen import resolve_sequences
+    from ..state import dupfinder
+    from .textprep import SEQ_PACK_BUDGET, SEQ_PACK_SHARDS
 
     budget = SEQ_PACK_BUDGET if budget is None else budget
     n_shards = SEQ_PACK_SHARDS if n_shards is None else n_shards
@@ -1571,197 +1586,253 @@ def prepare_training_sequences(
         done = _read_finished_plan(out_dir, params)
         if done is not None:  # resume: skip ALL recomputation
             return done
+        _clear_plan_sink(out_dir)
+    groups = dupfinder.file_groups(resolve_sequences(sf_dir))
 
-    # --- scout pass: holdout grams + training-row hashes in ONE read (the
-    # augmented view is computed once per batch and shared by both halves;
-    # plain user corpora have no holdout slice, so their gram half is empty
-    # and the decontamination stage naturally no-ops)
-    def scout(t: pa.Table) -> pa.Table:
-        view = _capstone_view(t, aug)
-        gt = _holdout_grams_from_view(*view) if aug else _EMPTY_GRAMS
-        sel, sfx, offs, vals, lens = _training_rows_from_view(*view, holdout=aug)
-        ng, nh = gt.num_rows, sel.num_rows
-        h = (
-            _content_hash(offs, vals).view(np.int64)
-            if nh
-            else np.empty(0, dtype=np.int64)
-        )
-        return pa.table(
-            {
-                "g": pa.concat_arrays(
-                    [gt.column("g").combine_chunks(), pa.nulls(nh, _GRAM_TYPE)]
-                ),
-                "h": pa.concat_arrays(
-                    [pa.nulls(ng, pa.int64()), pa.array(h, type=pa.int64())]
-                ),
-            }
-        )
-
-    from ..state.dupfinder import find_dup_hash_values
-
-    # bounded batches on every big-temp pass (scout / candidates / final):
-    # whole read blocks first-touch hundreds of MB of numpy temps per task
-    # in fresh malloc arenas (window hashes, gram matrices, content-hash
-    # buffers) — the seq_repetition_scores lesson; 8k rows keeps each batch
-    # ~15 MB so workers amortize their arenas across ~dozens of batches
-    # (12.8M-row A/B: seq_decontaminate's identical scan went 156 s → 63 s)
-    scouted = (
-        _seq_ds(sf_dir, columns=["doc_id", "tokens", "source"])
-        .map_batches(scout, batch_format="pyarrow", batch_size=8192)
-        .materialize()
-    )
-    # gram index: driver argsort below the crossover, distributed Dataset
-    # sort above it (the benchmark-index decision logic, shared) — 28M-gram
-    # fixtures previously went through the single-threaded GramIndex.build
-    idx = gram_index_from_ds(
-        scouted.map_batches(
-            lambda t: t.filter(pc.is_valid(t.column("g"))).select(["g"]),
-            batch_format="pyarrow",
-            batch_size=None,
+    # --- scout: dup content hashes + the gram index in one read
+    scouted = ray.get(
+        exchange.run(
+            _prep_scout, groups, _prep_scout_reduce, exchange.range_count(),
+            map_args=(aug,),
         )
     )
-    gram_ref = ray.put(idx.parts())
-    hashed = scouted.map_batches(
-        lambda t: t.filter(pc.is_valid(t.column("h"))).select(["h"]),
-        batch_format="pyarrow",
-        batch_size=None,
-    ).materialize()
-    dup_h = find_dup_hash_values(hashed, "h")
+    dup_sorted = np.concatenate([s[0] for s in scouted])
+    index = GramIndex.from_sorted(
+        np.concatenate([s[1] for s in scouted]),
+        np.concatenate([s[2] for s in scouted]),
+    )
+
+    # --- candidates → the exact loser set
     losers: dict[tuple[int, str], set[bytes]] = {}
-    if dup_h.size:
-        dup_sorted = np.sort(dup_h.view(_U64))
-
-        def candidates(t: pa.Table) -> pa.Table:
-            sel, sfx, offs, vals, lens = _capstone_training_rows(t, aug)
-            if sel.num_rows == 0:
-                return pa.table(
-                    {
-                        "doc_id": pa.array([], type=pa.string()),
-                        "h": pa.array([], type=pa.int64()),
-                        "b": pa.array([], type=pa.binary()),
-                    }
-                )
-            h = _content_hash(offs, vals)
-            pos = np.minimum(np.searchsorted(dup_sorted, h), dup_sorted.size - 1)
-            m = dup_sorted[pos] == h
-            ii = np.flatnonzero(m)
-            return pa.table(
-                {
-                    "doc_id": sel.column("doc_id").take(pa.array(ii)),
-                    "h": pa.array(h[ii].view(np.int64)),
-                    "b": pa.array(
-                        [vals[offs[i] : offs[i + 1]].tobytes() for i in ii],
-                        type=pa.binary(),
-                    ),
-                }
-            )
-
-        cand = _collect(
-            _seq_ds(sf_dir, columns=["doc_id", "tokens", "source"]).map_batches(
-                candidates, batch_format="pyarrow", batch_size=8192
-            )
+    if dup_sorted.size:
+        dup_ref = ray.put(dup_sorted)
+        cand = pa.concat_tables(
+            ray.get([_prep_candidates.remote(g, dup_ref, aug) for g in groups])
         )
-        groups: dict[bytes, list[tuple[str, int]]] = {}
+        by_bytes: dict[bytes, list[tuple[str, int]]] = {}
         for did, hv, b in zip(
             cand.column("doc_id").to_pylist(),
             cand.column("h").to_pylist(),
             cand.column("b").to_pylist(),
         ):
-            groups.setdefault(b, []).append((did, hv))
-        for b, members in groups.items():
+            by_bytes.setdefault(b, []).append((did, hv))
+        for b, members in by_bytes.items():
             if len(members) < 2:
                 continue
             rep = min(d for d, _ in members)
             for did, hv in members:
                 if did != rep:
                     losers.setdefault((hv, did), set()).add(b)
-    loser_ref = ray.put(losers)
 
-    # --- final fused pass → pack metadata
-    def final(t: pa.Table, _cache={}) -> pa.Table:
-        st = _cache.get("st")
-        if st is None:
-            lm = ray.get(loser_ref)
-            lh = np.sort(np.array([k[0] for k in lm], dtype=np.int64))
-            st = _cache["st"] = (GramIndex(*ray.get(gram_ref)), lm, lh)
-        index, loser_map, loser_hashes = st
-        sel, sfx, offs, vals, lens = _capstone_training_rows(t, aug)
-        n = sel.num_rows
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], type=pa.string()),
-                "doc_num": pa.array([], type=pa.int64()),
-                "shard": pa.array([], type=pa.int64()),
-                "shuffle_key": pa.array([], type=pa.int64()),
-                "n_tok": pa.array([], type=pa.int64()),
-            }
-        )
-        if n == 0:
-            return empty
-        keep = np.ones(n, dtype=bool)
-        if loser_map:
-            hi = _content_hash(offs, vals).view(np.int64)
-            pos = np.minimum(np.searchsorted(loser_hashes, hi), loser_hashes.size - 1)
-            maybe = np.flatnonzero(loser_hashes[pos] == hi)  # tiny: losers only
-            if maybe.size:
-                ids = sel.column("doc_id").take(pa.array(maybe)).to_pylist()
-                for j, i in enumerate(maybe):
-                    s = loser_map.get((int(hi[i]), ids[j]))
-                    if s is not None and vals[offs[i] : offs[i + 1]].tobytes() in s:
-                        keep[i] = False
-        # decontamination on the remaining rows
-        if index.h.size:
-            starts, gdoc, _m = _window_starts(offs, DECON_K)
-            if starts.size:
-                gmask = keep[gdoc]
-                starts2, gdoc2 = starts[gmask], gdoc[gmask]
-                if starts2.size:
-                    hh = _window_hash64(vals, DECON_K)[starts2]
-                    cndt = index.maybe(hh)
-                    if cndt.any():
-                        win = _gather_windows(vals, starts2[cndt], DECON_K)
-                        member = index.member(hh[cndt], win)
-                        if member.any():
-                            keep[np.unique(gdoc2[cndt][member])] = False
-        ii = np.flatnonzero(keep)
-        if ii.size == 0:
-            return empty
-        out = sel.take(pa.array(ii))
-        # fixture ids: doc_num == suffix (oracle parity); arbitrary user ids
-        # fall back to the deterministic string hash so shards stay balanced
-        num = sfx[ii] if (sfx[ii] >= 0).all() else _doc_num(out.column("doc_id"))
-        shard, key = _shard_cols(num, n_shards)
-        return pa.table(
-            {
-                "doc_id": out.column("doc_id"),
-                "doc_num": pa.array(num),
-                "shard": pa.array(shard),
-                "shuffle_key": pa.array(key),
-                "n_tok": pa.array(lens[ii].astype(np.int64)),
-            }
-        )
-
-    meta_ds = _seq_ds(sf_dir, columns=["doc_id", "tokens", "source"]).map_batches(
-        final, batch_format="pyarrow", batch_size=8192
+    # --- final fused pass → pack reduces (which write the sink)
+    packed = exchange.run(
+        _prep_final, groups, _prep_pack_reduce, exchange.range_count(cap=n_shards),
+        map_args=(aug, n_shards, ray.put(losers), ray.put(index.parts())),
+        reduce_args=(budget, out_dir),
+        reduce_returns=2,
     )
-    bundles = list(meta_ds.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    if not block_refs:
-        # empty plan: nothing to sink (a partitioned write of 0 rows writes
-        # no files, which a resume read could not distinguish from failure)
-        return rd.from_arrow([_SEQ_PACK_EMPTY])
-    ranges = exchange.range_count(cap=n_shards)
-    per = 8
-    mapped = [
-        _seq_pack_split.options(num_returns=ranges).remote(
-            block_refs[i : i + per], ranges, n_shards
-        )
-        for i in range(0, len(block_refs), per)
+    n_rows = sum(ray.get([n for _, n in packed]))
+    if out_dir is not None and n_rows:
+        import json as _json
+        import os as _os
+
+        with open(_os.path.join(out_dir, "_PREP_SUCCESS.json"), "w") as f:
+            _json.dump({"params": params}, f)
+    return rd.from_arrow_refs([t for t, _ in packed])
+
+
+_PREP_COLUMNS = ["doc_id", "tokens", "source"]
+
+
+def _prep_batches(paths: list[str]):
+    """A file group's fragments as tables of at most 8k rows: whole
+    fragments first-touch hundreds of MB of numpy temps per task in fresh
+    malloc arenas (the seq_repetition_scores lesson); ~15 MB batches let a
+    worker reuse its arena (12.8M-row A/B of seq_decontaminate's identical
+    scan: 156 s → 63 s)."""
+    import pyarrow.parquet as pq
+
+    for p in paths:
+        f = pq.ParquetFile(p)
+        for b in f.iter_batches(batch_size=8192, columns=_PREP_COLUMNS):
+            yield pa.Table.from_batches([b])
+
+
+@ray.remote
+def _prep_scout(paths: list[str], ranges: int, aug: bool) -> tuple:
+    """Scout map: one file group's training-row content hashes and holdout
+    gram keys, one (hashes, counts, gram keys, gram hashes) partial per
+    hash range. Plain user corpora have no holdout slice, so their gram
+    half is empty and decontamination no-ops."""
+    from ..state.dupfinder import _split_counts
+
+    hashes, grams = [], []
+    for t in _prep_batches(paths):
+        view = _capstone_view(t, aug)
+        if aug:
+            grams.append(_holdout_grams_from_view(*view))
+        sel, _sfx, offs, vals, _lens = _training_rows_from_view(*view, holdout=aug)
+        if sel.num_rows:
+            hashes.append(_content_hash(offs, vals))
+    h = np.concatenate(hashes) if hashes else np.empty(0, dtype=_U64)
+    keys = np.concatenate(grams) if grams else np.empty((0, DECON_K), dtype=np.int32)
+    gh = _key_hash64(keys)
+    order = np.argsort(gh, kind="stable")
+    gram_parts = exchange.split(gh[order], ranges, keys[order], gh[order])
+    return tuple(c + g for c, g in zip(_split_counts(h, ranges), gram_parts))
+
+
+@ray.remote
+def _prep_scout_reduce(*parts) -> tuple:
+    """One hash range of the scout: its duplicate content hashes (total
+    ≥ 2, ascending) and its distinct gram keys with their hashes, sorted
+    by hash."""
+    hv, totals = exchange.merge_counts([p[:2] for p in parts])
+    keys = np.concatenate([p[2] for p in parts])
+    gh = np.concatenate([p[3] for p in parts])
+    if len(keys):
+        _, first = np.unique(_void(keys, DECON_K), return_index=True)
+        first = first[np.argsort(gh[first], kind="stable")]
+        keys, gh = keys[first], gh[first]
+    return hv[totals > 1], keys, gh
+
+
+_CAND_EMPTY = pa.schema(
+    [("doc_id", pa.string()), ("h", pa.int64()), ("b", pa.binary())]
+).empty_table()
+
+
+@ray.remote
+def _prep_candidates(paths: list[str], dup_sorted: np.ndarray, aug: bool) -> pa.Table:
+    """(doc_id, h, b) of one file group's training rows whose content hash
+    is a duplicate candidate; ``b`` is the row's token bytes for the
+    driver's exact re-verify."""
+    out = [_CAND_EMPTY]
+    for t in _prep_batches(paths):
+        sel, _sfx, offs, vals, _lens = _capstone_training_rows(t, aug)
+        if sel.num_rows == 0:
+            continue
+        h = _content_hash(offs, vals)
+        pos = np.minimum(np.searchsorted(dup_sorted, h), dup_sorted.size - 1)
+        ii = np.flatnonzero(dup_sorted[pos] == h)
+        if ii.size:
+            out.append(
+                pa.table(
+                    {
+                        "doc_id": sel.column("doc_id").take(pa.array(ii)),
+                        "h": pa.array(h[ii].view(np.int64)),
+                        "b": pa.array(
+                            [vals[offs[i] : offs[i + 1]].tobytes() for i in ii],
+                            type=pa.binary(),
+                        ),
+                    }
+                )
+            )
+    return pa.concat_tables(out)
+
+
+@ray.remote
+def _prep_final(
+    paths: list[str],
+    ranges: int,
+    aug: bool,
+    n_shards: int,
+    losers: dict,
+    gram_parts: tuple,
+) -> tuple:
+    """Final map: one file group's surviving training rows as 40 B/row pack
+    metadata, split by shard range (``textprep._shard_range_split``)."""
+    from .textprep import _shard_range_split
+
+    index = GramIndex(*gram_parts)
+    loser_hashes = np.sort(np.array([k[0] for k in losers], dtype=np.int64))
+    metas = [
+        m
+        for t in _prep_batches(paths)
+        if (m := _prep_meta(t, aug, n_shards, index, losers, loser_hashes)) is not None
     ]
-    tables = [
-        _seq_pack_reduce.remote(budget, *[m[r] for m in mapped]) for r in range(ranges)
-    ]
-    return _maybe_sink_plan(rd.from_arrow_refs(tables), out_dir, params)
+    return _shard_range_split(
+        pa.concat_tables(metas) if metas else None, ranges, n_shards
+    )
+
+
+def _prep_meta(t, aug, n_shards, index, loser_map, loser_hashes) -> "pa.Table | None":
+    """One batch's pack metadata (doc_id, doc_num, shard, shuffle_key,
+    n_tok) after the fused loser and decontamination filters; None when no
+    row survives."""
+    from .textprep import _shard_cols
+
+    sel, sfx, offs, vals, lens = _capstone_training_rows(t, aug)
+    n = sel.num_rows
+    if n == 0:
+        return None
+    keep = np.ones(n, dtype=bool)
+    if loser_map:
+        hi = _content_hash(offs, vals).view(np.int64)
+        pos = np.minimum(np.searchsorted(loser_hashes, hi), loser_hashes.size - 1)
+        maybe = np.flatnonzero(loser_hashes[pos] == hi)  # tiny: losers only
+        if maybe.size:
+            ids = sel.column("doc_id").take(pa.array(maybe)).to_pylist()
+            for j, i in enumerate(maybe):
+                s = loser_map.get((int(hi[i]), ids[j]))
+                if s is not None and vals[offs[i] : offs[i + 1]].tobytes() in s:
+                    keep[i] = False
+    # decontamination on the remaining rows
+    if index.h.size:
+        starts, gdoc, _m = _window_starts(offs, DECON_K)
+        if starts.size:
+            gmask = keep[gdoc]
+            starts2, gdoc2 = starts[gmask], gdoc[gmask]
+            if starts2.size:
+                hh = _window_hash64(vals, DECON_K)[starts2]
+                cndt = index.maybe(hh)
+                if cndt.any():
+                    win = _gather_windows(vals, starts2[cndt], DECON_K)
+                    member = index.member(hh[cndt], win)
+                    if member.any():
+                        keep[np.unique(gdoc2[cndt][member])] = False
+    ii = np.flatnonzero(keep)
+    if ii.size == 0:
+        return None
+    out = sel.take(pa.array(ii))
+    # fixture ids: doc_num == suffix (oracle parity); arbitrary user ids
+    # fall back to the deterministic string hash so shards stay balanced
+    num = sfx[ii] if (sfx[ii] >= 0).all() else _doc_num(out.column("doc_id"))
+    shard, key = _shard_cols(num, n_shards)
+    return pa.table(
+        {
+            "doc_id": out.column("doc_id"),
+            "doc_num": pa.array(num),
+            "shard": pa.array(shard),
+            "shuffle_key": pa.array(key),
+            "n_tok": pa.array(lens[ii].astype(np.int64)),
+        }
+    )
+
+
+@ray.remote
+def _prep_pack_reduce(budget: int, out_dir: "str | None", *parts) -> tuple:
+    """One shard range of the capstone's pack: the greedy walk
+    (``textprep._pack_walk``); with ``out_dir``, each of its shards is
+    also written as ``shard=<k>/plan.parquet`` without the ``shard``
+    column (the hive layout ``_read_finished_plan`` reads). Returns (plan,
+    row count)."""
+    from .textprep import _pack_walk
+
+    plan = _pack_walk(budget, parts)
+    if out_dir is not None and plan.num_rows:
+        import os as _os
+
+        import pyarrow.parquet as pq
+
+        shard = plan.column("shard").to_numpy()
+        cuts = np.flatnonzero(shard[1:] != shard[:-1]) + 1
+        body = plan.drop_columns(["shard"])
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, shard.size]):
+            d = _os.path.join(out_dir, f"shard={shard[lo]}")
+            _os.makedirs(d, exist_ok=True)
+            pq.write_table(body.slice(lo, hi - lo), _os.path.join(d, "plan.parquet"))
+    return plan, plan.num_rows
 
 
 def _read_finished_plan(out_dir: str, params: dict | None = None) -> "rd.Dataset | None":
@@ -1801,44 +1872,20 @@ def _read_finished_plan(out_dir: str, params: dict | None = None) -> "rd.Dataset
     return rd.read_parquet(out_dir).map_batches(fix, batch_format="pyarrow")
 
 
-def _maybe_sink_plan(
-    ds: rd.Dataset, out_dir: str | None, params: dict | None = None
-) -> rd.Dataset:
-    """Resumable capstone sink: shard-partitioned parquet + success marker
-    (recording the plan parameters — a resume with DIFFERENT budget/shards
-    must recompute, never silently satisfy a different request).
-
-    A marker-complete sink short-circuits the WHOLE pipeline (checked at
-    the top of ``prepare_training_sequences``); a killed run left no
-    marker, so its partial files are REMOVED before the rewrite (Ray's
-    ``write_parquet`` appends by default — stale survivors would otherwise
-    merge into the new output). Cleanup only touches what a prior run
-    could have written (``shard=<n>`` partition dirs and the marker),
-    never unrelated files sharing the directory. A plan with ZERO rows is
-    returned directly without writing a marker (a partitioned write of 0
-    rows emits no files, which a resume read could not distinguish from a
-    missing sink)."""
-    if out_dir is None:
-        return ds
-    import json as _json
+def _clear_plan_sink(out_dir: str) -> None:
+    """Remove what an earlier capstone run could have left in ``out_dir``
+    (``shard=<k>`` dirs and the marker) and nothing else."""
     import os as _os
     import shutil as _shutil
 
-    marker = _os.path.join(out_dir, "_PREP_SUCCESS.json")
-    if _os.path.exists(out_dir):
-        for name in _os.listdir(out_dir):
-            path = _os.path.join(out_dir, name)
-            if name.startswith("shard=") and _os.path.isdir(path):
-                _shutil.rmtree(path)
-            elif name == "_PREP_SUCCESS.json":
-                _os.remove(path)
-    mat = ds.materialize()
-    if mat.count() == 0:
-        return mat
-    mat.write_parquet(out_dir, partition_cols=["shard"])
-    with open(marker, "w") as f:
-        _json.dump({"params": params}, f)
-    return _read_finished_plan(out_dir, params)
+    if not _os.path.isdir(out_dir):
+        return
+    for name in _os.listdir(out_dir):
+        path = _os.path.join(out_dir, name)
+        if name.startswith("shard=") and _os.path.isdir(path):
+            _shutil.rmtree(path)
+        elif name == "_PREP_SUCCESS.json":
+            _os.remove(path)
 
 
 # ---------------------------------------------------------------------------

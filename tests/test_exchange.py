@@ -280,7 +280,7 @@ def test_routing_lives_only_in_exchange():
     only in ``core/exchange.py`` and in the modules not yet ported to it."""
     not_ported = {
         os.path.join("pipelines", f"{m}.py")
-        for m in ("tokens", "textprep", "tokspans", "substring")
+        for m in ("tokens", "tokspans", "substring")
     } | {os.path.join("state", f"{m}.py") for m in ("components", "pairverify")}
     offenders = [
         rel

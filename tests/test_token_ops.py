@@ -1,6 +1,10 @@
 """Token-level north-star ops (pipelines/tokens.py): differential tests
 against independent pure-Python re-implementations on the sf0.001 corpus."""
 
+import glob
+import os
+import re
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
@@ -155,6 +159,15 @@ def test_seq_chunk_windows_empty(ray_session, tmp_path, monkeypatch):
     assert tk.seq_detokenize(str(d)).count() == 0
     assert tk.seq_unigram_lm_score(str(d)).count() == 0
     assert tk.prepare_training_sequences(str(d)).count() == 0
+    # a zero-row plan with a sink dir leaves no marker and no shard dir
+    out = tmp_path / "prep_out"
+    assert tk.prepare_training_sequences(str(d), out_dir=str(out)).count() == 0
+    assert not (out / "_PREP_SUCCESS.json").exists()
+    assert not glob.glob(str(out / "shard=*"))
+    from product_quality_check_ray.pipelines import textprep as tp
+
+    assert tp.seq_pack_plan(str(d)).count() == 0
+    assert tp.seq_pack_execute(str(d)).count() == 0
 
 
 def test_seq_length_batches_differential(ray_session, rows):
@@ -426,6 +439,193 @@ def test_prepare_training_sequences_resumable_sink(ray_session, tmp_path, monkey
 
     with open(os.path.join(out, "_PREP_SUCCESS.json")) as f:
         assert json.load(f)["params"]["budget"] == 512
+
+
+PLAN_COLS = ["doc_id", "shard", "pack_id", "pack_pos", "tok_offset", "n_tok"]
+
+
+def _prep_oracle(monkeypatch, corpus):
+    """The capstone's DuckDB oracle over ``corpus``'s fragments."""
+    import duckdb
+
+    import __ray_entry__ as e
+
+    frag_glob = f"{corpus}/frag-*.parquet"
+    with monkeypatch.context() as m:
+        m.setattr(e, "_seq_glob_sql", lambda _sf: frag_glob)
+        m.setattr(e, "_seq_v2_glob_sql", lambda _sf: frag_glob)
+        sql = e.oracle_sql()["prepare_training_sequences"]
+    con = duckdb.connect()
+    try:
+        con.sql("SET threads=2")
+        return con.sql(sql).df()
+    finally:
+        con.close()
+
+
+def _assert_plan_is_oracle(plan, oracle):
+    from tools.check_queries import compare
+
+    assert compare("prepare_training_sequences", plan.to_pandas(), oracle) == []
+
+
+def _short_fixture_corpus(d, n_rows, num_fragments, seed):
+    """A fixture corpus (augmented by default) with every token array cut
+    to its first 24 tokens, so the oracle's gram unnest stays small; the
+    canary prefix, DUPSEQ arrays and holdout grams all survive the cut."""
+    import pyarrow.compute as pc
+
+    from product_quality_check_ray.datagen import write_sequences
+
+    write_sequences(d, n_rows, seed=seed, num_fragments=num_fragments)
+    for f in sorted(glob.glob(f"{d}/frag-*.parquet")):
+        t = pq.read_table(f)
+        cut = pc.list_slice(t.column("tokens"), 0, 24)
+        i = t.schema.get_field_index("tokens")
+        pq.write_table(t.set_column(i, "tokens", cut.cast(t.schema.field(i).type)), f)
+    return d
+
+
+def _plain_corpus(d, n_rows, num_fragments, *, residues, dup_pairs, seed=0):
+    """A hand-built corpus: distinct random arrays of 20–40 tokens (longer
+    than the canary, so patched rows stay distinct), ``dup_pairs`` planted
+    exact duplicates across fragments, and doc_id suffixes that never hit
+    the DUPSEQ residue — nor, with ``residues=False``, the DECON patch or
+    holdout ones, so the augmented view equals the plain one."""
+    import pyarrow as pa
+
+    from product_quality_check_ray.core.schema import SOURCES, VOCAB
+
+    rng = np.random.default_rng(seed)
+    sfx = [
+        s
+        for s in range(1, 20 * n_rows)
+        if s % tk.DUPSEQ_MOD != tk.DUPSEQ_RES
+        and (
+            residues
+            or (s % tk.DECON_PATCH_MOD != tk.DECON_PATCH_RES and s % tk.DECON_HOLD_MOD)
+        )
+    ][:n_rows]
+    toks = [rng.integers(0, VOCAB, rng.integers(20, 41)).tolist() for _ in sfx]
+    for i in range(dup_pairs):
+        toks[n_rows - 1 - i] = toks[i]
+    os.makedirs(d, exist_ok=True)
+    bounds = np.linspace(0, n_rows, num_fragments + 1).astype(int)
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array([f"doc-{s:012d}" for s in sfx[lo:hi]]),
+                    "tokens": pa.array(toks[lo:hi], type=pa.list_(pa.int32())),
+                    "n_tok": pa.array([len(x) for x in toks[lo:hi]], type=pa.int32()),
+                    "source": pa.array([SOURCES[s % len(SOURCES)] for s in sfx[lo:hi]]),
+                }
+            ),
+            f"{d}/frag-{k:05d}.parquet",
+        )
+    return d
+
+
+def test_prepare_training_sequences_range_invariant(ray_session, monkeypatch, tmp_path):
+    """The capstone equals its DuckDB oracle at 2, 3 and 37 hash ranges
+    (both exchange levels and the file grouping); at 37 some ranges get no
+    grams, no hashes and no shards."""
+    from product_quality_check_ray.core import exchange
+
+    corpus = _short_fixture_corpus(str(tmp_path / "c"), 3000, 6, seed=3)
+    oracle = _prep_oracle(monkeypatch, corpus)
+    for r in (2, 3, 37):
+        monkeypatch.setattr(exchange, "range_count", lambda ranges=None, cap=None, r=r: r)
+        _assert_plan_is_oracle(tk.prepare_training_sequences(corpus), oracle)
+    assert len(oracle) > 0
+
+
+@pytest.mark.parametrize("shape", ["big_fragment", "single_fragment"])
+def test_prepare_training_sequences_fragment_shapes(ray_session, monkeypatch, tmp_path, shape):
+    """One fragment larger than the 8192-row batch (every pass sees it in
+    several batches), and a single small fragment (one map per level)."""
+    n_rows = 9000 if shape == "big_fragment" else 700
+    corpus = _short_fixture_corpus(str(tmp_path / shape), n_rows, 1, seed=5)
+    _assert_plan_is_oracle(
+        tk.prepare_training_sequences(corpus), _prep_oracle(monkeypatch, corpus)
+    )
+
+
+def test_prepare_training_sequences_no_duplicates(ray_session, monkeypatch, tmp_path):
+    """A corpus with no duplicate arrays skips the candidate pass and still
+    equals the oracle (holdout grams still decontaminate patched rows)."""
+
+    class NoCandidates:
+        def remote(self, *_a):
+            raise AssertionError("candidate pass ran without duplicate hashes")
+
+    corpus = _plain_corpus(str(tmp_path / "c"), 1500, 4, residues=True, dup_pairs=0)
+    oracle = _prep_oracle(monkeypatch, corpus)
+    monkeypatch.setattr(tk, "_prep_candidates", NoCandidates())
+    plan = tk.prepare_training_sequences(corpus, augment=True)
+    _assert_plan_is_oracle(plan, oracle)
+    assert 0 < len(oracle) < 1500 - 1500 // tk.DECON_HOLD_MOD
+
+
+def test_prepare_training_sequences_plain_empty_index(ray_session, monkeypatch, tmp_path):
+    """``augment=False`` builds no grams (empty index) and still dedups: on
+    a corpus whose suffixes hit no augmentation residue the oracle's view
+    is the plain one, so both flags equal it."""
+    corpus = _plain_corpus(str(tmp_path / "c"), 1200, 3, residues=False, dup_pairs=5)
+    oracle = _prep_oracle(monkeypatch, corpus)
+    assert len(oracle) == 1200 - 5
+    for aug in (False, True):
+        _assert_plan_is_oracle(tk.prepare_training_sequences(corpus, augment=aug), oracle)
+
+
+def test_prepare_training_sequences_sink_contract(ray_session, tmp_path):
+    """The cold return and the resume read-back have the same schema and
+    rows; every plan file lies under ``out_dir/shard=<k>/``; a call with
+    another budget first removes the finished sink's shard dirs and marker
+    (and nothing else), and its read-back equals its direct return."""
+    import pyarrow as pa
+
+    out = str(tmp_path / "prep_out")
+    os.makedirs(out)
+    with open(os.path.join(out, "_notes.txt"), "w") as f:
+        f.write("unrelated")
+    cold = tk.prepare_training_sequences(SF, out_dir=out)
+    resumed = tk.prepare_training_sequences(SF, out_dir=out)
+    assert cold.schema().names == resumed.schema().names == PLAN_COLS
+    assert cold.schema().types == resumed.schema().types
+    for c in PLAN_COLS[1:]:
+        assert cold.schema().types[PLAN_COLS.index(c)] == pa.int64()
+    a, b = cold.to_pandas(), resumed.to_pandas()
+    assert len(a) > 0
+    assert a.sort_values(PLAN_COLS).reset_index(drop=True).equals(
+        b.sort_values(PLAN_COLS).reset_index(drop=True)
+    )
+    from product_quality_check_ray.pipelines.textprep import SEQ_PACK_SHARDS
+
+    files = [
+        os.path.relpath(os.path.join(r, f), out) for r, _d, fs in os.walk(out) for f in fs
+    ]
+    plan_files = sorted(set(files) - {"_PREP_SUCCESS.json", "_notes.txt"})
+    assert plan_files and all(
+        re.fullmatch(r"shard=(\d+)/[^/]+\.parquet", p)
+        and int(p.split("/")[0][6:]) < SEQ_PACK_SHARDS
+        for p in plan_files
+    )
+    assert sorted({p.split("/")[0] for p in plan_files}) == sorted(
+        f"shard={k}" for k in set(a["shard"])
+    )
+
+    stale = os.path.join(out, f"shard={SEQ_PACK_SHARDS + 1}")
+    os.makedirs(stale)
+    open(os.path.join(stale, "old.parquet"), "w").close()
+    direct = tk.prepare_training_sequences(SF, budget=512, out_dir=out).to_pandas()
+    assert not os.path.exists(stale)
+    assert os.path.exists(os.path.join(out, "_notes.txt"))
+    back = tk.prepare_training_sequences(SF, budget=512, out_dir=out).to_pandas()
+    assert direct["pack_id"].max() > a["pack_id"].max()
+    assert direct.sort_values(PLAN_COLS).reset_index(drop=True).equals(
+        back.sort_values(PLAN_COLS).reset_index(drop=True)
+    )
 
 
 def test_seq_neardup_pairs_differential(ray_session, rows):
