@@ -17,6 +17,11 @@ output into the per-range partials; ``block_groups`` / ``fetch_table`` feed
 a map from a Dataset's blocks. ``group_apply`` is the keyed
 one-call-per-range apply built from those pieces: the engine's grouped
 apply, in place of Ray Data's ``groupby().map_groups``.
+
+This module is the only one that knows the hash-range rule
+(``range_count``, ``hashing.range_edges``) or routes partials
+(``num_returns``); a map input need not be a block group (pair chunks, one
+label state per range).
 """
 
 from __future__ import annotations
@@ -121,7 +126,9 @@ def reduce_ranges(
     """One ObjectRef per hash range: ``reduce_task(*args, *parts)``, where
     ``parts`` holds the range's partial from each map in ``mapped`` order.
     The refs (not the data) are routed, so Ray dereferences them
-    worker-side. ``returns > 1`` gives each range a list of that many refs
+    worker-side. A per-range argument (a label state, a range's own pairs)
+    rides as the first list of ``mapped``, so it reaches each reduce
+    first. ``returns > 1`` gives each range a list of that many refs
     (``num_returns=returns``)."""
     if returns > 1:
         reduce_task = reduce_task.options(num_returns=returns)

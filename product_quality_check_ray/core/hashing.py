@@ -64,12 +64,9 @@ def hash_keys(arr: "pa.Array | pa.ChunkedArray", seed: int = 0) -> np.ndarray:
 
 def range_edges(ranges: int) -> np.ndarray:
     """Split points of the uint64 hash space into ``ranges`` uniform ranges:
-    the partitioner of ``core/exchange.split`` (dupfinder, pairreduce, the
-    corpus-diff and incremental-dedup reducers, ``core/joins`` and the
-    boilerplate reassembly) and of the exchanges not yet ported to it
-    (``state/components``, ``pipelines/substring``,
-    ``pipelines/tokspans``)."""
-    # ranges is clamped >= 2 by callers: ranges=1 would evaluate
+    the partitioner of ``core/exchange.split``, through which every hash
+    exchange of the engine routes; no other module imports it."""
+    # ranges is clamped >= 2 by exchange.range_count: ranges=1 would evaluate
     # np.uint64(2**64) (OverflowError) and break num_returns plumbing
     assert ranges >= 2
     return np.arange(1, ranges, dtype=_U64) * _U64((2**64) // ranges)

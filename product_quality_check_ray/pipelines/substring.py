@@ -15,23 +15,23 @@ The Ray-native equivalent used here needs no global ordered structure:
    word-run of length R ≥ L is EXACTLY a chain of R−L+1 consecutive
    anchors on one diagonal (``pos_a − pos_b`` constant), so no suffix
    array is needed: maximal runs are gaps-and-islands over anchors.
-2. **Two-hop hash-range tree reduce** (raw Ray tasks, the
+2. **Two-hop hash-range tree reduce** on ``core/exchange`` (the
    ``state/pairreduce.py`` pattern): hop 1 ranges on the gram, groups
    exact gram strings (collision-free — the hash only routes), stop-lists
    grams hotter than ``hot_cap`` docs-positions (boilerplate; drop, not
    truncate, so the result stays SQL-reproducible), and emits anchors
-   pre-partitioned by a pair hash; hop 2 ranges on the pair, sorts each
-   pair's anchors by (diagonal, pos) and reduces islands → per-pair
-   (max_run, n_runs, n_anchors) with numpy reduceat — no per-pair Python
-   loop, and the driver only ever sees per-pair aggregates, never anchors.
+   pre-partitioned by a pair hash (``emit_anchors``); hop 2 ranges on the
+   pair, sorts each pair's anchors by (diagonal, pos) and reduces islands
+   → per-pair (max_run, n_runs, n_anchors) with numpy reduceat — no
+   per-pair Python loop, and the driver only ever sees per-pair
+   aggregates, never anchors.
 
 Partitioning assumptions: gram hashes are uniform (they are — xxhash
 routes them); per-gram anchor fan-out is bounded by ``hot_cap``²; each
 doc pair's anchors co-locate in exactly one hop-2 range by construction.
 At 100 TB the gram strings (~L words each) dominate hop-1 shuffle volume;
-the scale path swaps the string key for a 128-bit gram hash (collision
-odds ~n²/2¹²⁸) — kept as strings here so the DuckDB oracle can join on
-the very same key.
+they stay strings so hop 1 groups on the very key the DuckDB oracle joins
+on.
 
 Reference analog: the reference dedupes at whole-answer granularity only
 (pandas ``drop_duplicates`` in ``app.py``); substring-level dedup is one
@@ -48,8 +48,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..core.exchange import range_count
-from ..core.hashing import hash_ints, hash_strings, range_edges as _hop_edges
+from ..core import exchange
+from ..core.hashing import hash_ints, hash_strings
 from .text import _docs, _split_words
 
 LCS_GRAM = 8  # anchor width L: shared runs shorter than L words are invisible
@@ -98,62 +98,82 @@ def gram_positions(t: pa.Table, L: int = LCS_GRAM) -> pa.Table:
     )
 
 
-def _split_by(h: np.ndarray, edges: np.ndarray, *cols: np.ndarray):
-    """Sort columns by hash and cut at range edges → tuple of col-tuples."""
+def _hash_split(h: np.ndarray, ranges: int, *cols: np.ndarray) -> tuple:
+    """``cols`` cut into the ``ranges`` hash ranges of their hashes ``h``."""
     order = np.argsort(h, kind="stable")
-    h = h[order]
-    cols = tuple(c[order] for c in cols)
-    idx = np.searchsorted(h, edges)
-    cuts = list(zip(np.r_[0, idx], np.r_[idx, len(h)]))
-    return tuple(tuple(c[lo:hi] for c in cols) for lo, hi in cuts)
+    return tuple(exchange.split(h[order], ranges, *(c[order] for c in cols)))
 
 
 _ANCHOR_EMPTY = tuple(np.empty(0, dtype=np.int64) for _ in range(4))
 
 
 @ray.remote
-def _map_gram_blocks(block_refs: list, ranges: int, exact_keys: bool = True):
-    """Hop-0 map: gram-hash-range-split one bundle of gram blocks.
-
-    Returns ``ranges`` objects of (grams, doc_ids, poss); partials route
-    worker→worker — the driver holds only ObjectRefs. ``exact_keys=False``
-    is the scale path: the key column carries the 64-bit gram hash (int64
-    view, 8 B/row) instead of the ~L-word gram string — hop-1 grouping is
-    then by-hash (collision odds ~n²/2⁶⁴ per range; at 100 TB widen to
-    128 bits) and the numeric sort avoids the object-array round-trip.
-    """
-    blocks = ray.get(list(block_refs))
-    tables = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b]) for b in blocks]
-    tables = [x for x in tables if x.num_rows > 0]
-    if not tables:
-        kd = object if exact_keys else np.int64
-        e = (np.empty(0, dtype=kd), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        return e if ranges == 1 else tuple(e for _ in range(ranges))
-    t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+def _map_gram_blocks(block_refs: list, ranges: int) -> tuple:
+    """Hop-0 map: one block group's (grams, doc_ids, poss), split into the
+    gram-hash ranges; partials route worker→worker — the driver holds only
+    ObjectRefs."""
+    t = exchange.fetch_table(block_refs, ["gram", "doc_id", "pos"])
+    if t is None:
+        e = (np.empty(0, dtype=object), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return (e,) * ranges
     grams = t.column("gram").combine_chunks()
     ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
     pos = t.column("pos").to_numpy(zero_copy_only=False).astype(np.int64)
-    h = hash_strings(grams, seed=_RANGE_SEED)
-    g = np.asarray(grams.to_pylist(), dtype=object) if exact_keys else h.view(np.int64)
-    out = _split_by(h, _hop_edges(ranges), g, ids, pos)
-    return out if ranges > 1 else out[0]
+    g = np.asarray(grams.to_pylist(), dtype=object)
+    return _hash_split(hash_strings(grams, seed=_RANGE_SEED), ranges, g, ids, pos)
+
+
+def emit_anchors(
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    ids: np.ndarray,
+    pos: np.ndarray,
+    keep: np.ndarray,
+    pair_ranges: int,
+) -> tuple:
+    """Anchors of the kept exact-key buckets, split into the pair-hash
+    ranges: per range (doc_a, doc_b, diag = pos_a − pos_b, pos_a).
+
+    Bucket j holds rows ``starts[j] : starts[j] + sizes[j]`` of ``ids`` /
+    ``pos``, sorted by (id, pos) within the bucket; ``keep`` is the
+    caller's hot-cap verdict per bucket. Every cross-doc row pair of a
+    kept bucket is one anchor, oriented so doc_a < doc_b."""
+    da_l, db_l, dg_l, pa_l = [], [], [], []
+    # python loop only over SHARED buckets (size >= 2, two+ docs) — the
+    # long unique tail is skipped wholesale
+    shared = keep & (sizes >= 2)
+    for lo, sz in zip(starts[shared], sizes[shared]):
+        bi = ids[lo : lo + sz]
+        if bi[0] == bi[-1]:  # single doc (rows are id-sorted) — no pairs
+            continue
+        bp = pos[lo : lo + sz]
+        ia, ib = np.triu_indices(sz, k=1)
+        cross = bi[ia] != bi[ib]
+        ia, ib = ia[cross], ib[cross]
+        da_l.append(bi[ia])
+        db_l.append(bi[ib])
+        dg_l.append(bp[ia] - bp[ib])
+        pa_l.append(bp[ia])
+    if not da_l:
+        return (_ANCHOR_EMPTY,) * pair_ranges
+    da = np.concatenate(da_l)
+    db = np.concatenate(db_l)
+    with np.errstate(over="ignore"):
+        mix = da.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + db.astype(np.uint64)
+    h = hash_ints(mix, seed=_PAIR_SEED)
+    return _hash_split(h, pair_ranges, da, db, np.concatenate(dg_l), np.concatenate(pa_l))
 
 
 @ray.remote
-def _reduce_gram_range(hot_cap: int, pair_ranges: int, *parts):
-    """Hop 1: group one gram-hash range by EXACT gram, emit anchors.
-
-    Buckets hotter than ``hot_cap`` rows are dropped whole (stop-list).
-    Anchors (doc_a < doc_b, diag = pos_a − pos_b, pos_a) leave already
-    split into ``pair_ranges`` pair-hash ranges (``num_returns``), so the
+def _reduce_gram_range(hot_cap: int, pair_ranges: int, *parts) -> tuple:
+    """Hop 1: group one gram-hash range by EXACT gram, emit anchors
+    (``emit_anchors``) split into ``pair_ranges`` pair-hash ranges, so the
     anchor volume never converges anywhere — each hop-2 task sees only its
-    pair range.
-    """
+    pair range. Buckets hotter than ``hot_cap`` rows are dropped whole
+    (stop-list)."""
     grams = np.concatenate([p[0] for p in parts])
     if grams.size == 0:
-        return _ANCHOR_EMPTY if pair_ranges == 1 else tuple(
-            _ANCHOR_EMPTY for _ in range(pair_ranges)
-        )
+        return (_ANCHOR_EMPTY,) * pair_ranges
     ids = np.concatenate([p[1] for p in parts])
     pos = np.concatenate([p[2] for p in parts])
     df = pd.DataFrame({"g": grams, "i": ids, "p": pos}).sort_values(
@@ -165,37 +185,7 @@ def _reduce_gram_range(hot_cap: int, pair_ranges: int, *parts):
     change[1:] = g[1:] != g[:-1]
     starts = np.flatnonzero(change)
     sizes = np.diff(np.r_[starts, g.size])
-    da_l, db_l, dg_l, pa_l = [], [], [], []
-    # python loop only over SHARED grams (size >= 2, two+ docs) — the long
-    # unique tail is skipped wholesale
-    for lo, sz in zip(starts[sizes >= 2], sizes[sizes >= 2]):
-        if sz > hot_cap:
-            continue
-        bi = i[lo : lo + sz]
-        if bi[0] == bi[-1]:  # single doc (rows are id-sorted) — no pairs
-            continue
-        bp = p[lo : lo + sz]
-        ia, ib = np.triu_indices(sz, k=1)
-        cross = bi[ia] != bi[ib]
-        ia, ib = ia[cross], ib[cross]
-        # orient each anchor so doc_a < doc_b (rows are sorted by id)
-        da_l.append(bi[ia])
-        db_l.append(bi[ib])
-        dg_l.append(bp[ia] - bp[ib])
-        pa_l.append(bp[ia])
-    if not da_l:
-        return _ANCHOR_EMPTY if pair_ranges == 1 else tuple(
-            _ANCHOR_EMPTY for _ in range(pair_ranges)
-        )
-    da = np.concatenate(da_l)
-    db = np.concatenate(db_l)
-    dg = np.concatenate(dg_l)
-    pp = np.concatenate(pa_l)
-    with np.errstate(over="ignore"):
-        mix = da.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + db.astype(np.uint64)
-    h = hash_ints(mix, seed=_PAIR_SEED)
-    out = _split_by(h, _hop_edges(pair_ranges), da, db, dg, pp)
-    return out if pair_ranges > 1 else out[0]
+    return emit_anchors(starts, sizes, i, p, sizes <= hot_cap, pair_ranges)
 
 
 @ray.remote
@@ -244,18 +234,16 @@ _SPAN_EMPTY = tuple(np.empty(0, dtype=np.int64) for _ in range(3))
 
 
 @ray.remote
-def _reduce_pair_spans(L: int, min_run: int, doc_ranges: int, *parts):
+def _reduce_pair_spans(L: int, min_run: int, doc_ranges: int, *parts) -> tuple:
     """Hop 2 (strip variant): islands as in ``_reduce_pair_range``, but emit
     one REMOVAL SPAN per qualifying run, charged to the higher doc_id of the
     pair (keep-first policy: the lowest doc keeps its text). Span is in the
     victim doc's word coordinates: ``[pos_b, pos_b + run_len)``, and spans
-    leave pre-split into ``doc_ranges`` doc-hash ranges (``num_returns``)
-    so hop 3 can interval-union each doc's spans without any Dataset
-    shuffle."""
-    no = _SPAN_EMPTY if doc_ranges == 1 else tuple(_SPAN_EMPTY for _ in range(doc_ranges))
+    leave split into ``doc_ranges`` doc-hash ranges so hop 3 can
+    interval-union each doc's spans without any Dataset shuffle."""
     da = np.concatenate([p[0] for p in parts])
     if da.size == 0:
-        return no
+        return (_SPAN_EMPTY,) * doc_ranges
     db = np.concatenate([p[1] for p in parts])
     dg = np.concatenate([p[2] for p in parts])
     pp = np.concatenate([p[3] for p in parts])
@@ -271,49 +259,52 @@ def _reduce_pair_spans(L: int, min_run: int, doc_ranges: int, *parts):
     keep = run_len >= min_run
     starts, run_len = starts[keep], run_len[keep]
     if starts.size == 0:
-        return no
+        return (_SPAN_EMPTY,) * doc_ranges
     s = pp[starts] - dg[starts]  # pos_b of the island start
     doc = db[starts]
     h = hash_ints(doc.astype(np.uint64), seed=_RANGE_SEED)
-    out = _split_by(h, _hop_edges(doc_ranges), doc, s, s + run_len)
-    return out if doc_ranges > 1 else out[0]
+    return _hash_split(h, doc_ranges, doc, s, s + run_len)
 
 
-@ray.remote
-def _merge_doc_range(*parts):
-    """Hop 3: interval-union spans per doc over one doc-hash range
-    (vectorized across the whole range): classic sorted-cummax merge, with
-    the segment cummax done in one ``np.maximum.accumulate`` by lifting
-    each doc onto its own 2³²-band. Adjacent spans ([0,5) + [5,9)) merge.
-    One output row per doc with the merged (starts, ends) CSV strings —
-    always a TYPED table, so the downstream join never sees the
-    zero-column empty blocks a Dataset ``map_groups`` can emit."""
-    empty = pa.table(
-        {
-            "doc_id": pa.array([], type=pa.int64()),
-            "starts": pa.array([], type=pa.string()),
-            "ends": pa.array([], type=pa.string()),
-        }
-    )
-    d = np.concatenate([p[0] for p in parts])
-    if d.size == 0:
-        return empty, 0
-    s = np.concatenate([p[1] for p in parts])
-    e = np.concatenate([p[2] for p in parts])
+def union_spans(d: np.ndarray, s: np.ndarray, e: np.ndarray) -> tuple:
+    """Per-doc interval union of the spans ``[s, e)`` of docs ``d`` (all
+    int64, ``0 <= s < e``): the merged (doc, start, end), sorted by (doc,
+    start). Adjacent spans ([0,5) + [5,9)) merge.
+
+    Vectorized across docs: a sorted-cummax merge whose segment cummax is
+    one ``np.maximum.accumulate`` over ends lifted by ``doc_rank · band``.
+    The band is one more than the largest end, so each doc's lifted ends
+    lie in their own band."""
     order = np.lexsort((e, s, d))
     d, s, e = d[order], s[order], e[order]
     new_doc = np.empty(d.size, dtype=bool)
     new_doc[0] = True
     new_doc[1:] = d[1:] != d[:-1]
-    doc_rank = np.cumsum(new_doc) - 1
-    BAND = np.int64(1) << np.int64(32)
-    lifted_cummax = np.maximum.accumulate(e + doc_rank * BAND) - doc_rank * BAND
+    lift = (np.cumsum(new_doc) - 1) * (int(e.max()) + 1)
+    lifted_cummax = np.maximum.accumulate(e + lift) - lift
     brk = new_doc.copy()
     brk[1:] |= s[1:] > lifted_cummax[:-1]
     g_starts = np.flatnonzero(brk)
-    m_doc = d[g_starts]
-    m_s = s[g_starts]
-    m_e = np.maximum.reduceat(e, g_starts)
+    return d[g_starts], s[g_starts], np.maximum.reduceat(e, g_starts)
+
+
+_MERGED_EMPTY = pa.schema(
+    [("doc_id", pa.int64()), ("starts", pa.string()), ("ends", pa.string())]
+).empty_table()
+
+
+@ray.remote
+def _merge_doc_range(*parts) -> tuple:
+    """Hop 3: ``union_spans`` over one doc-hash range, then one output row
+    per doc with the merged (starts, ends) CSV strings; returns (table,
+    row count). Always a TYPED table, so the downstream join never sees
+    zero-column empty blocks."""
+    d = np.concatenate([p[0] for p in parts])
+    if d.size == 0:
+        return _MERGED_EMPTY, 0
+    m_doc, m_s, m_e = union_spans(
+        d, np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts])
+    )
     # one row per doc: list-ify the merged intervals (sorted by s already)
     first = np.empty(m_doc.size, dtype=bool)
     first[0] = True
@@ -385,37 +376,21 @@ def _strip_spans_batch(t: pa.Table) -> pa.Table:
     )
 
 
-def _anchor_partials(
-    sf_dir: str,
-    L: int,
-    hot_cap: int,
-    ranges: int | None,
-    blocks_per_task: int,
-    exact_keys: bool = True,
-):
+def _anchor_partials(sf_dir: str, L: int, hot_cap: int):
     """Shared hop-0/hop-1 wiring for both substring operators: gram
     extraction over the corpus, gram-hash-range map tasks, and the hop-1
-    exact-gram anchor reduce. Returns (docs_dataset, resolved_ranges,
-    anchor_refs) — anchor_refs is None for an empty corpus."""
-    ranges = range_count(ranges)
+    exact-gram anchor reduce. Returns (docs_dataset, ranges, anchor_refs)
+    — anchor_refs is None for an empty corpus."""
+    ranges = exchange.range_count()
     docs = _docs(sf_dir, columns=["doc_id", "text"])
     grams = docs.map_batches(lambda t: gram_positions(t, L), batch_format="pyarrow")
-    bundles = list(grams.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    if not block_refs:
+    groups = exchange.block_groups(grams)
+    if not groups:
         return docs, ranges, None
-    mapped = [
-        _map_gram_blocks.options(num_returns=ranges).remote(
-            block_refs[i : i + blocks_per_task], ranges, exact_keys
-        )
-        for i in range(0, len(block_refs), blocks_per_task)
-    ]
-    anchors = [
-        _reduce_gram_range.options(num_returns=ranges).remote(
-            hot_cap, ranges, *[m[r] for m in mapped]
-        )
-        for r in range(ranges)
-    ]
+    mapped = exchange.map_ranges(_map_gram_blocks, groups, ranges)
+    anchors = exchange.reduce_ranges(
+        mapped, _reduce_gram_range, ranges, hot_cap, ranges, returns=ranges
+    )
     return docs, ranges, anchors
 
 
@@ -424,10 +399,6 @@ def doc_strip_dup_spans(
     L: int = LCS_GRAM,
     min_run: int = LCS_MIN_RUN,
     hot_cap: int = LCS_HOT_CAP,
-    *,
-    ranges: int | None = None,
-    blocks_per_task: int = 8,
-    exact_keys: bool = True,
 ) -> rd.Dataset:
     """Substring-level corpus dedup à la Lee et al. 2022: CUT every shared
     word run ≥ ``min_run`` out of the higher-doc_id copy (keep-first), and
@@ -442,31 +413,27 @@ def doc_strip_dup_spans(
     """
     from ..core.batches import strip_schema_metadata
 
-    docs, ranges, anchors = _anchor_partials(
-        sf_dir, L, hot_cap, ranges, blocks_per_task, exact_keys
-    )
+    docs, ranges, anchors = _anchor_partials(sf_dir, L, hot_cap)
     merged_tables = []
     if anchors is not None:
-        span_parts = [
-            _reduce_pair_spans.options(num_returns=ranges).remote(
-                L, min_run, ranges, *[a[r] for a in anchors]
-            )
-            for r in range(ranges)
-        ]
-        hop3 = [
-            _merge_doc_range.options(num_returns=2).remote(*[s[r] for s in span_parts])
-            for r in range(ranges)
-        ]
+        span_parts = exchange.reduce_ranges(
+            anchors, _reduce_pair_spans, ranges, L, min_run, ranges, returns=ranges
+        )
+        hop3 = exchange.reduce_ranges(span_parts, _merge_doc_range, ranges, returns=2)
         # an EMPTY table inside from_arrow_refs loses its schema in the join
         # shuffle ("no match for key field doc_id") — keep only non-empty
         # ranges, known from the tiny count returns (never the tables)
         counts = ray.get([c for _, c in hop3])
         merged_tables = [t for (t, _), n in zip(hop3, counts) if n > 0]
     if merged_tables:
+        # 8 partitions, as the other native joins: the join pins one
+        # aggregator actor per partition up front, and tying the count to
+        # the hash-range count (37 ranges → 18 partitions) left them
+        # unscheduled on a 4-CPU node
         joined = strip_schema_metadata(docs).join(
             rd.from_arrow_refs(merged_tables),
             join_type="left_outer",
-            num_partitions=max(8, ranges // 2),
+            num_partitions=8,
             on=("doc_id",),
         )
     else:
@@ -484,10 +451,6 @@ def doc_lcs_pairs(
     L: int = LCS_GRAM,
     min_run: int = LCS_MIN_RUN,
     hot_cap: int = LCS_HOT_CAP,
-    *,
-    ranges: int | None = None,
-    blocks_per_task: int = 8,
-    exact_keys: bool = True,
 ) -> pa.Table:
     """Doc pairs sharing a word run of ≥ ``min_run`` words, with the exact
     longest shared run, number of maximal shared runs (≥ L), and total
@@ -502,16 +465,11 @@ def doc_lcs_pairs(
             "n_anchors": pa.array([], type=pa.int64()),
         }
     )
-    _, ranges, anchors = _anchor_partials(
-        sf_dir, L, hot_cap, ranges, blocks_per_task, exact_keys
-    )
+    _, ranges, anchors = _anchor_partials(sf_dir, L, hot_cap)
     if anchors is None:
         return empty
     reduced = ray.get(
-        [
-            _reduce_pair_range.remote(L, min_run, *[a[r] for a in anchors])
-            for r in range(ranges)
-        ]
+        exchange.reduce_ranges(anchors, _reduce_pair_range, ranges, L, min_run)
     )
     nonempty = [r for r in reduced if len(r[0])]
     if not nonempty:

@@ -649,24 +649,14 @@ def seq_length_batches(sf_dir: str, batch_rows: int = LENBATCH_B) -> pa.Table:
     meta_ds = _seq_ds(sf_dir, columns=["doc_id", "n_tok"]).map_batches(
         meta, batch_format="pyarrow", batch_size=None
     )
-    bundles = list(meta_ds.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    if not block_refs:
+    groups = exchange.block_groups(meta_ds)
+    if not groups:
         return _LENBATCH_SCHEMA.empty_table()
     ranges = exchange.range_count(cap=MAX_N_TOK_DEFAULT)
     # contiguous n_tok intervals: bounds[r] = first n_tok of range r+1
     width = -(-MAX_N_TOK_DEFAULT // ranges)
-    per = 8
-    mapped = [
-        _lenbatch_split.options(num_returns=ranges).remote(
-            block_refs[i : i + per], ranges, width
-        )
-        for i in range(0, len(block_refs), per)
-    ]
-    sorted_counts = [
-        _lenbatch_sort.options(num_returns=2).remote(*[m[r] for m in mapped])
-        for r in range(ranges)
-    ]
+    mapped = exchange.map_ranges(_lenbatch_split, groups, ranges, width)
+    sorted_counts = exchange.reduce_ranges(mapped, _lenbatch_sort, ranges, returns=2)
     counts = ray.get([c for (_t, c) in sorted_counts])
     offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
     partials = [
@@ -704,18 +694,13 @@ def seq_length_batches(sf_dir: str, batch_rows: int = LENBATCH_B) -> pa.Table:
 
 
 @ray.remote
-def _lenbatch_split(block_refs: list, ranges: int, width: int):
-    """Map task: split meta blocks into contiguous n_tok intervals
+def _lenbatch_split(block_refs: list, ranges: int, width: int) -> tuple:
+    """Map task: split one meta block group into contiguous n_tok intervals
     (``(n_tok - 1) // width`` — every row of one n_tok value lands in
     exactly one range, so per-range sorts compose to the global order)."""
-    blocks = ray.get(list(block_refs))
-    tables = [
-        b if isinstance(b, pa.Table) else pa.Table.from_batches([b]) for b in blocks
-    ]
-    tables = [x for x in tables if x.num_rows > 0]
-    if not tables:
-        return tuple(None for _ in range(ranges)) if ranges > 1 else None
-    t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+    t = exchange.fetch_table(block_refs, ["doc_id", "n_tok"])
+    if t is None:
+        return (None,) * ranges
     nt = t.column("n_tok").to_numpy(zero_copy_only=False)
     rng = (nt - 1) // width
     order = np.argsort(rng, kind="stable")
@@ -723,7 +708,7 @@ def _lenbatch_split(block_refs: list, ranges: int, width: int):
     parts = []
     for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(order)]):
         parts.append(t.take(pa.array(order[lo:hi])) if hi > lo else None)
-    return tuple(parts) if ranges > 1 else parts[0]
+    return tuple(parts)
 
 
 @ray.remote
@@ -1842,6 +1827,7 @@ def _read_finished_plan(out_dir: str, params: dict | None = None) -> "rd.Dataset
     way). Returns None when no complete sink exists OR the marker records
     different parameters (budget/n_shards) than the caller asked for —
     a stale plan must recompute, not silently satisfy a different request."""
+    import glob as _glob
     import json as _json
     import os as _os
 
@@ -1869,7 +1855,13 @@ def _read_finished_plan(out_dir: str, params: dict | None = None) -> "rd.Dataset
             }
         )
 
-    return rd.read_parquet(out_dir).map_batches(fix, batch_format="pyarrow")
+    # only the plan files: anything else the directory holds stays unread
+    from ray.data.datasource import Partitioning
+
+    files = sorted(_glob.glob(_os.path.join(out_dir, "shard=*", "*.parquet")))
+    return rd.read_parquet(
+        files, partitioning=Partitioning("hive", base_dir=out_dir)
+    ).map_batches(fix, batch_format="pyarrow")
 
 
 def _clear_plan_sink(out_dir: str) -> None:

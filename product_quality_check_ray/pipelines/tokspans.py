@@ -41,9 +41,11 @@ Distributed shape — stricter than the document-side operator:
    drops buckets whose GLOBAL count exceeds ``hot_cap`` (the oracle's
    ``HAVING count(*) <= hot_cap`` — identical to counting before
    winnowing), and emits anchors (k_a < k_b, diag = pos_a − pos_b, pos_a)
-   pre-split by pair hash. Hops 2/3 are ``substring.py``'s island and
-   interval-union reduces, reused verbatim — maximal shared runs are
-   gaps-and-islands over anchors on a diagonal, no suffix array needed.
+   pre-split by pair hash with ``substring.emit_anchors``. Hops 2/3 are
+   ``substring.py``'s island and interval-union (``union_spans``)
+   reduces — maximal shared runs are gaps-and-islands over anchors on a
+   diagonal, no suffix array needed. Every level (the count reduce
+   included) is a ``core/exchange`` map/reduce round.
 3. **Span application is a broadcast, not a join.** Merged removal spans
    are bounded by the duplicated-span victims (candidates ≪ corpus — the
    same contract as ``state/dupfinder``), so the driver assembles one
@@ -93,14 +95,16 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..core.exchange import range_count
-from ..core.hashing import hash_ints, range_edges as _hop_edges, splitmix64
+from ..core import exchange
+from ..core.hashing import splitmix64
 from ..core.schema import VOCAB
 from .substring import (
-    _PAIR_SEED,
+    _ANCHOR_EMPTY,
+    _hash_split,
     _reduce_pair_range,
     _reduce_pair_spans,
-    _split_by,
+    emit_anchors,
+    union_spans,
 )
 from .tokens import (
     _aug,
@@ -235,44 +239,32 @@ def _dup_keys(sf_dir: str) -> np.ndarray:
 
 
 @ray.remote
-def _map_tokgram_blocks(block_refs: list, ranges: int):
-    """Hop-0 map: gram-key-hash-range-split one bundle of recovered
-    candidate blocks. The exact 4L-byte key rides as an (n, L/2) uint64
-    matrix (numpy-lexsortable — no object-array round trip); L is inferred
-    from the fixed-size-binary width."""
-    blocks = ray.get(list(block_refs))
-    tables = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b]) for b in blocks]
-    tables = [x for x in tables if x.num_rows > 0]
-    empty = (
-        np.empty((0, 1), dtype=np.uint64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-    )
-    if not tables:
-        return empty if ranges == 1 else tuple(empty for _ in range(ranges))
-    t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+def _map_tokgram_blocks(block_refs: list, ranges: int) -> tuple:
+    """Hop-0 map: one group of recovered candidate blocks, split into the
+    gram-key-hash ranges. The exact 4L-byte key rides as an (n, L/2)
+    uint64 matrix (numpy-lexsortable — no object-array round trip); L is
+    inferred from the fixed-size-binary width."""
+    t = exchange.fetch_table(block_refs, ["g", "k", "p"])
+    if t is None:
+        e = (np.empty((0, 1), dtype=_U64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        return (e,) * ranges
     L = t.column("g").type.byte_width // 4
     mat = np.ascontiguousarray(_fsb_to_mat(t.column("g"), L))
-    q = mat.view(_U64)  # (n, L/2)
     k = t.column("k").to_numpy(zero_copy_only=False).astype(np.int64)
     p = t.column("p").to_numpy(zero_copy_only=False).astype(np.int64)
-    h = _key_hash64(mat)
-    out = _split_by(h, _hop_edges(ranges), q, k, p)
-    return out if ranges > 1 else out[0]
+    return _hash_split(_key_hash64(mat), ranges, mat.view(_U64), k, p)
 
 
 @ray.remote
-def _reduce_tokgram_range(hot_cap: int, pair_ranges: int, counts, *parts):
+def _reduce_tokgram_range(hot_cap: int, pair_ranges: int, counts, *parts) -> tuple:
     """Hop 1: group one gram-hash range by the EXACT 4L-byte key, drop
     buckets whose GLOBAL hash count (from the cap-count reduce) exceeds
-    ``hot_cap``, emit anchors (k_a < k_b, diag, pos_a) pre-split by pair
-    hash (same pair routing as ``substring._reduce_gram_range``, so hops
-    2/3 are shared)."""
-    empty = tuple(np.empty(0, dtype=np.int64) for _ in range(4))
-    no = empty if pair_ranges == 1 else tuple(empty for _ in range(pair_ranges))
+    ``hot_cap``, emit anchors (``substring.emit_anchors``: k_a < k_b, diag,
+    pos_a) split by pair hash, so hops 2/3 are shared with the word
+    operator."""
     q = np.concatenate([p[0] for p in parts], axis=0)
     if q.shape[0] == 0:
-        return no
+        return (_ANCHOR_EMPTY,) * pair_ranges
     gh, gc = counts
     k = np.concatenate([p[1] for p in parts])
     p_ = np.concatenate([p[2] for p in parts])
@@ -291,32 +283,7 @@ def _reduce_tokgram_range(hot_cap: int, pair_ranges: int, counts, *parts):
         bglobal = np.where(gh[pos] == bh, gc[pos], sizes)
     else:  # defensive: unknown hash falls back to the local size
         bglobal = sizes
-    da_l, db_l, dg_l, pa_l = [], [], [], []
-    for lo, sz, glob in zip(starts[sizes >= 2], sizes[sizes >= 2], bglobal[sizes >= 2]):
-        if glob > hot_cap:
-            continue
-        bi = k[lo : lo + sz]
-        if bi[0] == bi[-1]:  # single row key (rows are key-sorted) — no pairs
-            continue
-        bp = p_[lo : lo + sz]
-        ia, ib = np.triu_indices(sz, k=1)
-        cross = bi[ia] != bi[ib]
-        ia, ib = ia[cross], ib[cross]
-        da_l.append(bi[ia])
-        db_l.append(bi[ib])
-        dg_l.append(bp[ia] - bp[ib])
-        pa_l.append(bp[ia])
-    if not da_l:
-        return no
-    da = np.concatenate(da_l)
-    db = np.concatenate(db_l)
-    dg = np.concatenate(dg_l)
-    pp = np.concatenate(pa_l)
-    with np.errstate(over="ignore"):
-        mix = da.astype(_U64) * _U64(0x9E3779B97F4A7C15) + db.astype(_U64)
-    h = hash_ints(mix, seed=_PAIR_SEED)
-    out = _split_by(h, _hop_edges(pair_ranges), da, db, dg, pp)
-    return out if pair_ranges > 1 else out[0]
+    return emit_anchors(starts, sizes, k, p_, bglobal <= hot_cap, pair_ranges)
 
 
 def _winnow_selected(wh: np.ndarray, m: np.ndarray, W: int) -> np.ndarray:
@@ -363,86 +330,44 @@ def _slide_extreme(a: np.ndarray, W: int, op, fill) -> np.ndarray:
 
 
 @ray.remote
-def _map_count_blocks(block_refs: list, ranges: int):
-    """Count-reduce map: per-bundle (hash, partial-count) pairs split into
-    hash ranges (input blocks already carry per-batch pre-aggregated
-    (h, c) pairs)."""
-    blocks = ray.get(list(block_refs))
-    tables = [b if isinstance(b, pa.Table) else pa.Table.from_batches([b]) for b in blocks]
-    tables = [x for x in tables if x.num_rows > 0]
-    empty = (np.empty(0, dtype=_U64), np.empty(0, dtype=np.int64))
-    if not tables:
-        return empty if ranges == 1 else tuple(empty for _ in range(ranges))
-    t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+def _map_count_blocks(block_refs: list, ranges: int) -> tuple:
+    """Count-reduce map: one block group's (hash, count) pairs (already
+    pre-aggregated per batch) summed per hash and split into the hash
+    ranges."""
+    t = exchange.fetch_table(block_refs, ["h", "c"])
+    if t is None:
+        return ((np.empty(0, dtype=_U64), np.empty(0, dtype=np.int64)),) * ranges
     h = t.column("h").to_numpy(zero_copy_only=False).astype(np.int64).view(_U64)
     c = t.column("c").to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(h, kind="stable")
-    h, c = h[order], c[order]
-    starts = np.r_[0, 1 + np.flatnonzero(h[1:] != h[:-1])]
-    hv = h[starts]
-    cv = np.add.reduceat(c, starts)
-    idx = np.searchsorted(hv, _hop_edges(ranges))
-    out = tuple(zip(np.split(hv, idx), np.split(cv, idx)))
-    return out if ranges > 1 else out[0]
+    hv, cv = exchange.segment_sum(h[order], c[order])
+    return tuple(exchange.split(hv, ranges, hv, cv))
 
 
 @ray.remote
-def _reduce_count_range(*parts):
-    """Count-reduce: exact global count per hash within one range (sorted)."""
-    h = np.concatenate([p[0] for p in parts])
-    if h.size == 0:
-        return h, np.empty(0, dtype=np.int64)
-    c = np.concatenate([p[1] for p in parts])
-    order = np.argsort(h, kind="stable")
-    h, c = h[order], c[order]
-    starts = np.r_[0, 1 + np.flatnonzero(h[1:] != h[:-1])]
-    return h[starts], np.add.reduceat(c, starts)
-
-
-@ray.remote
-def _merge_spans_np(*parts):
-    """Hop 3 (strip variant): interval-union spans per row key over one
-    key-hash range — ``substring._merge_doc_range``'s sorted-cummax merge,
-    returned as three plain numpy arrays (key, start, end) for the driver's
-    broadcast bundle instead of a CSV-encoded join table."""
-    empty = tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+def _merge_spans_np(*parts) -> tuple:
+    """Hop 3 (strip variant): ``substring.union_spans`` per row key over
+    one key-hash range, returned as three plain numpy arrays (key, start,
+    end) for the driver's broadcast bundle instead of a CSV-encoded join
+    table."""
     d = np.concatenate([p[0] for p in parts])
     if d.size == 0:
-        return empty
-    s = np.concatenate([p[1] for p in parts])
-    e = np.concatenate([p[2] for p in parts])
-    order = np.lexsort((e, s, d))
-    d, s, e = d[order], s[order], e[order]
-    new_doc = np.empty(d.size, dtype=bool)
-    new_doc[0] = True
-    new_doc[1:] = d[1:] != d[:-1]
-    doc_rank = np.cumsum(new_doc) - 1
-    band = np.int64(1) << np.int64(40)
-    lifted = np.maximum.accumulate(e + doc_rank * band) - doc_rank * band
-    brk = new_doc.copy()
-    brk[1:] |= s[1:] > lifted[:-1]
-    g_starts = np.flatnonzero(brk)
-    return d[g_starts], s[g_starts], np.maximum.reduceat(e, g_starts)
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    return union_spans(
+        d, np.concatenate([p[1] for p in parts]), np.concatenate([p[2] for p in parts])
+    )
 
 
-def _anchor_refs(
-    sf_dir: str,
-    L: int,
-    min_run: int,
-    hot_cap: int,
-    aug: bool,
-    ranges: int | None,
-    blocks_per_task: int,
-):
+def _anchor_refs(sf_dir: str, L: int, min_run: int, hot_cap: int, aug: bool):
     """Shared hops for both operators: dup-key exclusion, window-hash
     candidate reduce, exact-gram recovery, hop-1 anchor reduce. Returns
     (ranges, anchor_refs | None)."""
-    from ..state.dupfinder import find_dup_hash_values
+    from ..state.dupfinder import _combine_range, find_dup_hash_values
 
     if L % 2 or L < 2:
         raise ValueError("gram width L must be a positive multiple of 2")
     gtype = pa.binary(4 * L)
-    ranges = range_count(ranges)
+    ranges = exchange.range_count()
     dup_sorted = _dup_keys(sf_dir)
 
     W = min_run - L + 1
@@ -517,9 +442,8 @@ def _anchor_refs(
     grams = _seq_ds(sf_dir, columns=_COLS).map_batches(
         recover, batch_format="pyarrow", batch_size=2048
     ).materialize()
-    bundles = list(grams.iter_internal_ref_bundles())
-    block_refs = [ref for b in bundles for ref in b.block_refs]
-    if not block_refs:
+    groups = exchange.block_groups(grams)
+    if not groups:
         return ranges, None
 
     # candidate gram hash set (driver union of per-block uniques — bounded
@@ -557,33 +481,18 @@ def _anchor_refs(
     counted = _seq_ds(sf_dir, columns=_COLS).map_batches(
         cap_hashes, batch_format="pyarrow", batch_size=2048
     )
-    cbundles = list(counted.iter_internal_ref_bundles())
-    cblocks = [ref for b in cbundles for ref in b.block_refs]
-    cmapped = [
-        _map_count_blocks.options(num_returns=ranges).remote(
-            cblocks[i : i + blocks_per_task], ranges
-        )
-        for i in range(0, len(cblocks), blocks_per_task)
-    ]
+    # exact global count per hash, each range sorted (dupfinder's combine)
     creduced = ray.get(
-        [_reduce_count_range.remote(*[m[r] for m in cmapped]) for r in range(ranges)]
+        exchange.run(_map_count_blocks, exchange.block_groups(counted), _combine_range, ranges)
     )
     gh = np.concatenate([r[0] for r in creduced])  # ranges are hash-ordered
     gc = np.concatenate([r[1] for r in creduced])
     counts_ref = ray.put((gh, gc))
 
-    mapped = [
-        _map_tokgram_blocks.options(num_returns=ranges).remote(
-            block_refs[i : i + blocks_per_task], ranges
-        )
-        for i in range(0, len(block_refs), blocks_per_task)
-    ]
-    anchors = [
-        _reduce_tokgram_range.options(num_returns=ranges).remote(
-            hot_cap, ranges, counts_ref, *[m[r] for m in mapped]
-        )
-        for r in range(ranges)
-    ]
+    mapped = exchange.map_ranges(_map_tokgram_blocks, groups, ranges)
+    anchors = exchange.reduce_ranges(
+        mapped, _reduce_tokgram_range, ranges, hot_cap, ranges, counts_ref, returns=ranges
+    )
     return ranges, anchors
 
 
@@ -594,8 +503,6 @@ def span_anchor_exchange(
     hot_cap: int = SPANDUP_HOT_CAP,
     *,
     augment: bool | None = None,
-    ranges: int | None = None,
-    blocks_per_task: int = 8,
 ):
     """Materialize the shared anchor exchange ONCE for suite-mode reuse
     (VERDICT r4 item 7): ``seq_lcs_pairs`` and ``seq_strip_dup_spans``
@@ -605,7 +512,7 @@ def span_anchor_exchange(
     scanned once instead of twice.  Anchor refs are immutable object-store
     tables, so both consumers read them zero-copy."""
     aug = _aug(sf_dir, augment)
-    return _anchor_refs(sf_dir, L, min_run, hot_cap, aug, ranges, blocks_per_task)
+    return _anchor_refs(sf_dir, L, min_run, hot_cap, aug)
 
 
 def _filter_rows(offs: np.ndarray, vals: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -638,8 +545,6 @@ def seq_lcs_pairs(
     hot_cap: int = SPANDUP_HOT_CAP,
     *,
     augment: bool | None = None,
-    ranges: int | None = None,
-    blocks_per_task: int = 8,
     precomputed_anchors=None,
 ) -> pa.Table:
     """Row pairs sharing a token run of ≥ ``min_run`` tokens, with the exact
@@ -652,15 +557,12 @@ def seq_lcs_pairs(
     ranges, anchors = (
         precomputed_anchors
         if precomputed_anchors is not None
-        else _anchor_refs(sf_dir, L, min_run, hot_cap, aug, ranges, blocks_per_task)
+        else _anchor_refs(sf_dir, L, min_run, hot_cap, aug)
     )
     if anchors is None:
         return _LCS_SCHEMA.empty_table()
     reduced = ray.get(
-        [
-            _reduce_pair_range.remote(L, min_run, *[a[r] for a in anchors])
-            for r in range(ranges)
-        ]
+        exchange.reduce_ranges(anchors, _reduce_pair_range, ranges, L, min_run)
     )
     nonempty = [r for r in reduced if len(r[0])]
     if not nonempty:
@@ -679,8 +581,6 @@ def seq_strip_dup_spans(
     hot_cap: int = SPANDUP_HOT_CAP,
     *,
     augment: bool | None = None,
-    ranges: int | None = None,
-    blocks_per_task: int = 8,
     precomputed_anchors=None,
 ) -> rd.Dataset:
     """Cut every shared token run ≥ ``min_run`` out of the higher-keyed row
@@ -693,21 +593,16 @@ def seq_strip_dup_spans(
     ranges, anchors = (
         precomputed_anchors
         if precomputed_anchors is not None
-        else _anchor_refs(sf_dir, L, min_run, hot_cap, aug, ranges, blocks_per_task)
+        else _anchor_refs(sf_dir, L, min_run, hot_cap, aug)
     )
     if anchors is None:
         doc = np.empty(0, dtype=np.int64)
         spans_ref = ray.put((doc, doc, doc))
     else:
-        span_parts = [
-            _reduce_pair_spans.options(num_returns=ranges).remote(
-                L, min_run, ranges, *[a[r] for a in anchors]
-            )
-            for r in range(ranges)
-        ]
-        merged = ray.get(
-            [_merge_spans_np.remote(*[s[r] for s in span_parts]) for r in range(ranges)]
+        span_parts = exchange.reduce_ranges(
+            anchors, _reduce_pair_spans, ranges, L, min_run, ranges, returns=ranges
         )
+        merged = ray.get(exchange.reduce_ranges(span_parts, _merge_spans_np, ranges))
         doc = np.concatenate([m[0] for m in merged])
         s = np.concatenate([m[1] for m in merged])
         e = np.concatenate([m[2] for m in merged])

@@ -28,7 +28,8 @@ block-fed input runs one map per ``exchange.BLOCKS_PER_TASK`` blocks.
 (fragment-wave partials → range partials, so per-task ObjectRef counts
 stay at max(wave, n_waves) instead of O(fragments)); it is byte-equal to
 the one-level path (totals are associative; pinned by test) but is not
-routed in until a many-shard workload shows it pays.
+routed in here until a many-shard workload shows it pays. ``tokspans``'
+count level uses it as its one-level reduce.
 The recover pass assumes |duplicates| ≪ |corpus| (training-data QA regime).
 
 Reference analog: cross-row segment dedupe via in-memory ``seen`` set

@@ -276,23 +276,29 @@ def test_joins_range_invariant(ray_session, monkeypatch, int_keys):
 
 
 def test_routing_lives_only_in_exchange():
-    """``.options(num_returns=`` (hand-rolled per-range routing) occurs
-    only in ``core/exchange.py`` and in the modules not yet ported to it."""
-    not_ported = {
-        os.path.join("pipelines", f"{m}.py")
-        for m in ("tokens", "tokspans", "substring")
-    } | {os.path.join("state", f"{m}.py") for m in ("components", "pairverify")}
-    offenders = [
+    """Per-range routing (``.options(num_returns=`` or a
+    ``@ray.remote(num_returns=`` decorator) and the range partition rule
+    (``hashing.range_edges``, defined in ``core/hashing.py``) occur only in
+    ``core/exchange.py``."""
+    home = os.path.join("core", "exchange.py")
+    sources = {
+        os.path.relpath(p, PKG): open(p).read()
+        for p in glob.glob(os.path.join(PKG, "**", "*.py"), recursive=True)
+    }
+    routing = [
         rel
-        for rel in (
-            os.path.relpath(p, PKG)
-            for p in glob.glob(os.path.join(PKG, "**", "*.py"), recursive=True)
-        )
-        if rel != os.path.join("core", "exchange.py")
-        and rel not in not_ported
-        and ".options(num_returns=" in open(os.path.join(PKG, rel)).read()
+        for rel, src in sources.items()
+        if rel != home
+        and (".options(num_returns=" in src or "@ray.remote(num_returns=" in src)
     ]
-    assert offenders == []
+    assert routing == []
+    rule = [
+        rel
+        for rel, src in sources.items()
+        if rel not in (home, os.path.join("core", "hashing.py")) and "range_edges" in src
+    ]
+    assert rule == []
+    assert "range_edges" in sources[home]
 
 
 def test_no_map_groups_in_library():

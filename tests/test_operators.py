@@ -1788,44 +1788,37 @@ def test_seq_pack_plan_properties(ray_session):
     assert a.equals(b)
 
 
-def test_substring_ops_invariant_to_range_count(ray_session):
+def test_substring_ops_invariant_to_range_count(ray_session, monkeypatch):
     """Hash-range parallelism (the per-cluster-size knob) must not change
-    results: 3 vs 8 ranges give byte-identical pairs and stripped corpora —
-    the single-node stand-in for the north rule's N vs 4N identical-output
-    requirement on these operators."""
+    results: 2, 3 and 37 ranges, one block per map task, give the
+    default's pairs and stripped corpus byte for byte — the single-node
+    stand-in for the north rule's N vs 4N identical-output requirement on
+    these operators."""
+    from product_quality_check_ray.core import exchange
     from product_quality_check_ray.pipelines.substring import (
         doc_lcs_pairs,
         doc_strip_dup_spans,
     )
 
-    a = doc_lcs_pairs(SF_SMALL, ranges=3).to_pandas()
-    b = doc_lcs_pairs(SF_SMALL, ranges=8).to_pandas()
-    assert len(a) > 0 and a.equals(b)
-
     def canon(ds):
         df = ds.to_pandas()
         return df.sort_values("doc_id").reset_index(drop=True)
 
-    sa = canon(doc_strip_dup_spans(SF_SMALL, ranges=3))
-    sb = canon(doc_strip_dup_spans(SF_SMALL, ranges=8))
-    assert (sa.n_spans > 0).any() and sa.equals(sb)
-
-
-def test_substring_hashed_key_path_matches_exact(ray_session):
-    """The exact_keys=False scale path (8-byte gram hashes through hop 1
-    instead of gram strings) must reproduce the exact-key results on the
-    fixture corpus."""
-    from product_quality_check_ray.pipelines.substring import doc_lcs_pairs
-
     a = doc_lcs_pairs(SF_SMALL).to_pandas()
-    b = doc_lcs_pairs(SF_SMALL, exact_keys=False).to_pandas()
-    assert len(a) > 0 and a.equals(b)
+    sa = canon(doc_strip_dup_spans(SF_SMALL))
+    assert len(a) > 0 and (sa.n_spans > 0).any()
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 1)
+    for r in (2, 3, 37):
+        monkeypatch.setattr(exchange, "range_count", lambda ranges=None, cap=None, r=r: r)
+        assert a.equals(doc_lcs_pairs(SF_SMALL).to_pandas())
+        assert sa.equals(canon(doc_strip_dup_spans(SF_SMALL)))
 
 
-def test_verify_jaccard_pairs_matches_naive(ray_session):
+def test_verify_jaccard_pairs_matches_naive(ray_session, monkeypatch):
     """state/pairverify: the distributed lexsort-intersection verify must
-    equal a per-pair numpy reference on random unique hash sets, across
-    multiple ranges (forced small pairs_per_range)."""
+    equal a per-pair numpy reference on random unique hash sets, at 2, 3
+    and 37 ranges (37 leaves some ranges without pairs), one payload block
+    per map task."""
     import numpy as _np
     import pyarrow as _pa
     import ray.data as _rd
@@ -1855,13 +1848,6 @@ def test_verify_jaccard_pairs_matches_naive(ray_session):
         ia.append(min(a, b))
         ib.append(max(a, b))
     ia, ib = _np.array(ia, dtype=_np.int64), _np.array(ib, dtype=_np.int64)
-    got = (
-        verify_jaccard_pairs(ds, "doc_id", "hashes", ia, ib, threshold=0.1, pairs_per_range=40)
-        .to_pandas()
-        .sort_values(["doc_id_a", "doc_id_b"])
-        .reset_index(drop=True)
-        .drop_duplicates()
-    )
     exp_rows = []
     seen = set()
     for a, b in zip(ia, ib):
@@ -1874,15 +1860,25 @@ def test_verify_jaccard_pairs_matches_naive(ray_session):
         if j >= 0.1:
             exp_rows.append((a, b, inter, sets[a].size, sets[b].size, j))
     exp_rows.sort()
-    got_rows = sorted(
-        zip(
-            got["doc_id_a"], got["doc_id_b"], got["shared"], got["n_a"], got["n_b"], got["jaccard"]
+    assert exp_rows
+    from product_quality_check_ray.core import exchange
+
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 1)
+    for r in (2, 3, 37):
+        monkeypatch.setattr(exchange, "range_count", lambda ranges=None, cap=None, r=r: r)
+        got = verify_jaccard_pairs(ds, "doc_id", "hashes", ia, ib, threshold=0.1).to_pandas()
+        # the distributed path verifies each DISTINCT pair once per
+        # occurrence in the input arrays; dedupe it for comparison
+        got_rows = sorted(
+            set(
+                (int(a), int(b), int(s), int(na), int(nb), float(j))
+                for a, b, s, na, nb, j in zip(
+                    got["doc_id_a"], got["doc_id_b"], got["shared"],
+                    got["n_a"], got["n_b"], got["jaccard"],
+                )
+            )
         )
-    )
-    # the distributed path verifies each DISTINCT pair once per occurrence in
-    # the input arrays; dedupe both sides for comparison
-    got_rows = sorted(set((int(a), int(b), int(s), int(na), int(nb), float(j)) for a, b, s, na, nb, j in got_rows))
-    assert got_rows == exp_rows
+        assert got_rows == exp_rows
 
 
 def test_cooccurrence_pairs_size_col(ray_session):
@@ -2560,14 +2556,12 @@ def test_pairverify_offset_shifted_list_blocks(ray_session):
     id_a = np.array([1], dtype=np.int64)
     id_b = np.array([2], dtype=np.int64)
     # jaccard(1,2) over {10,11,12,13} vs {10,11,12,14} = 3/5 = 0.6
-    rg = np.zeros(1, dtype=np.int64)
     docs = np.array([1, 2], dtype=np.int64)
     off = np.array([0, 1, 2], dtype=np.int64)
     inc_ref = ray.put((docs, off, np.array([0, 0], dtype=np.int64)))
-    pairs_ref = ray.put((id_a, id_b, rg))
-    part = ray.get(
-        _route_payloads.remote([ray.put(t)], "doc_id", "hashes", 1, inc_ref)
+    (part,) = ray.get(
+        _route_payloads.remote([ray.put(t)], 1, "doc_id", "hashes", inc_ref)
     )
-    out = ray.get(_verify_range.remote(pairs_ref, 0, 0.0, part)).to_pylist()[0]
+    out = ray.get(_verify_range.remote(0.0, (id_a, id_b), part)).to_pylist()[0]
     assert out["shared"] == 3 and out["n_a"] == 4 and out["n_b"] == 4
     assert out["jaccard"] == 0.6

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -438,13 +439,16 @@ def test_apply_bpe_merges_matches_naive(rows, pairs):
         ),
         min_size=1,
         max_size=60,
-    )
+    ),
+    st.sampled_from([2, 3, 37]),
 )
-def test_connected_components_matches_union_find(ray_session, edges):
+def test_connected_components_matches_union_find(ray_session, edges, ranges):
     """Distributed label propagation == driver union-find on arbitrary
-    small random graphs (self-loops, duplicate edges, both orientations)."""
+    small random graphs (self-loops, duplicate edges, both orientations),
+    at 2, 3 or 37 hash ranges."""
     import numpy as np
 
+    from product_quality_check_ray.core import exchange
     from product_quality_check_ray.state.components import (
         connected_components,
         union_find_labels,
@@ -453,7 +457,9 @@ def test_connected_components_matches_union_find(ray_session, edges):
     a = np.array([e[0] for e in edges], dtype=np.int64)
     b = np.array([e[1] for e in edges], dtype=np.int64)
     want = union_find_labels(a, b)
-    got = connected_components(a, b, driver_cap=0, ranges=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exchange, "range_count", lambda ranges=None, cap=None, r=ranges: r)
+        got = connected_components(a, b, driver_cap=0)
     assert got.equals(want)
 
 

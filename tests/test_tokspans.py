@@ -3,9 +3,9 @@
 Covers: naive O(n²) differential on a hand-planted direct-path corpus
 (shared interior spans, overlapping/adjacent span union, keep-first,
 hot-cap stop-list, dup-key and null-doc_id pass-through), the fixture
-plant expectations at sf0.001, parameterized gram width, and
-block-structure invariance (ranges / blocks_per_task must not change
-results).
+plant expectations at sf0.001, parameterized gram width,
+block-structure invariance (the exchange's range count and blocks per
+map task must not change results) and the shared interval union.
 """
 
 from __future__ import annotations
@@ -210,18 +210,40 @@ def test_strip_param_variation_matches_naive(ray_session, planted):
         assert exp[(r.doc_sfx_a, r.doc_sfx_b)] == (r.max_run, r.n_runs, r.n_anchors)
 
 
-def test_block_structure_invariance(ray_session, planted):
+def test_block_structure_invariance(ray_session, planted, monkeypatch):
+    """2, 3 and 37 hash ranges with one block per map task give the
+    default's pairs and stripped rows."""
+    from product_quality_check_ray.core import exchange
+
     rows, d = planted
-    a = seq_lcs_pairs(d).to_pandas()
-    b = seq_lcs_pairs(d, ranges=2, blocks_per_task=1).to_pandas()
-    assert a.equals(b)
-    sa = seq_strip_dup_spans(d).to_pandas().sort_values(
-        ["doc_id", "tokens_clean"], na_position="first"
-    ).reset_index(drop=True)
-    sb = seq_strip_dup_spans(d, ranges=3, blocks_per_task=1).to_pandas().sort_values(
-        ["doc_id", "tokens_clean"], na_position="first"
-    ).reset_index(drop=True)
-    assert sa.equals(sb)
+
+    def stripped():
+        return seq_strip_dup_spans(d).to_pandas().sort_values(
+            ["doc_id", "tokens_clean"], na_position="first"
+        ).reset_index(drop=True)
+
+    a, sa = seq_lcs_pairs(d).to_pandas(), stripped()
+    assert len(a) > 0 and (sa.n_spans > 0).any()
+    monkeypatch.setattr(exchange, "BLOCKS_PER_TASK", 1)
+    for r in (2, 3, 37):
+        monkeypatch.setattr(exchange, "range_count", lambda ranges=None, cap=None, r=r: r)
+        assert a.equals(seq_lcs_pairs(d).to_pandas())
+        assert sa.equals(stripped())
+
+
+def test_union_spans_many_docs():
+    """The interval union stays exact past 2**23 docs in one range: each
+    doc's spans [10, 50) and [20, 60) merge into one [10, 60)."""
+    from product_quality_check_ray.pipelines.substring import union_spans
+
+    n = (1 << 23) + 4
+    d = np.repeat(np.arange(n, dtype=np.int64), 2)
+    s = np.tile(np.array([10, 20], dtype=np.int64), n)
+    e = np.tile(np.array([50, 60], dtype=np.int64), n)
+    m_doc, m_s, m_e = union_spans(d, s, e)
+    del d, s, e
+    assert m_doc.size == n
+    assert (m_doc == np.arange(n)).all() and (m_s == 10).all() and (m_e == 60).all()
 
 
 def test_fixture_plant_sf0001(ray_session):
